@@ -14,7 +14,6 @@ from .cones import (
     cone_from_facets,
     cone_from_rays,
     dual_cone,
-    extreme_rays,
     is_simplicial,
     member_cone,
     member_convex,

@@ -129,7 +129,24 @@ def _model_entries(report: Report, s, g: Gpt, model: OntModel, label: str) -> No
     )
 
 
-def _embedding_sections(report: Report, g: Gpt):
+def _statistics_section(report: Report, g: Gpt) -> None:
+    table = theory_table(g)
+    s = report.section("statistics")
+    s.tables.append(
+        table_from_rows("probability table", table.row_labels, table.col_labels, table.entries)
+    )
+    s.add("table rank", min_model_dimension(table))
+    report.add_check(
+        "probability table re-verifies entry by entry",
+        lambda: all(
+            table.entries[i][j] == inner(e, st)
+            for i, (_, st) in enumerate(g.states())
+            for j, (_, e) in enumerate(g.effects())
+        ),
+    )
+
+
+def _same_dimension_section(report: Report, g: Gpt):
     exact = embed_exact_dim(g)
     s = report.section("embedding_same_dimension")
     s.add("sought ontic size", g.dim)
@@ -139,23 +156,22 @@ def _embedding_sections(report: Report, g: Gpt):
         _model_entries(report, s, g, exact.model, "model")
     else:
         s.note(exact.caveat)
-    bound = model_dimension_bound(g)
-    s.add("table rank bound", bound)
+    return s, exact
 
+
+def _lp_section(report: Report, g: Gpt):
     lp_result = embed_lp(g)
-    s2 = report.section("embedding_lp")
-    s2.add("model found", lp_result.found)
+    s = report.section("embedding_lp")
+    s.add("model found", lp_result.found)
     if lp_result.found:
-        _model_entries(report, s2, g, lp_result.model, "model")
-        if lp_result.model.ontic_size < bound:
-            raise InternalCheckError("model undercuts the table rank bound")
+        _model_entries(report, s, g, lp_result.model, "model")
     else:
-        s2.add("infeasibility certificate", vector_list(lp_result.farkas))
+        s.add("infeasibility certificate", vector_list(lp_result.farkas))
         report.add_check(
             "embedding infeasibility certificate re-verifies",
             lp_result.verify_farkas,
         )
-    return exact, lp_result
+    return lp_result
 
 
 def _indistinguishability_section(report: Report, g: Gpt, model: OntModel | None) -> None:
@@ -189,25 +205,10 @@ def analyze_report(g: Gpt) -> Report:
     if not _validation_section(report, g):
         return report
     check = _no_restriction_section(report, g)
-
-    table = theory_table(g)
-    s = report.section("statistics")
-    s.tables.append(
-        table_from_rows("probability table", table.row_labels, table.col_labels, table.entries)
-    )
-    s.add("table rank", min_model_dimension(table))
-    report.add_check(
-        "probability table re-verifies entry by entry",
-        lambda: all(
-            table.entries[i][j] == inner(e, st)
-            for i, (_, st) in enumerate(g.states())
-            for j, (_, e) in enumerate(g.effects())
-        ),
-    )
+    _statistics_section(report, g)
 
     if check.holds:
         _classification_section(report, g)
-        exact, lp_result = _embedding_sections(report, g)
     else:
         completion = complete(g, FIX_EFFECTS)
         cs = report.section("completion")
@@ -218,7 +219,12 @@ def analyze_report(g: Gpt) -> Report:
             is_simplicial(cone_from_rays(completion.state_vectors, g.dim)),
         )
         _classification_section(report, completion, heading="completion_classification")
-        exact, lp_result = _embedding_sections(report, g)
+    s, exact = _same_dimension_section(report, g)
+    bound = model_dimension_bound(g)
+    s.add("table rank bound", bound)
+    lp_result = _lp_section(report, g)
+    if lp_result.found and lp_result.model.ontic_size < bound:
+        raise InternalCheckError("model undercuts the table rank bound")
 
     _indistinguishability_section(report, g, lp_result.model)
 
@@ -259,21 +265,7 @@ def table_report(g: Gpt) -> Report:
     _theory_section(report, g)
     if not _validation_section(report, g):
         return report
-    table = theory_table(g)
-    s = report.section("statistics")
-    s.tables.append(
-        table_from_rows("probability table", table.row_labels, table.col_labels, table.entries)
-    )
-    s.add("table rank", min_model_dimension(table))
-    s.add("model dimension lower bound", min_model_dimension(table))
-    report.add_check(
-        "probability table re-verifies entry by entry",
-        lambda: all(
-            table.entries[i][j] == inner(e, st)
-            for i, (_, st) in enumerate(g.states())
-            for j, (_, e) in enumerate(g.effects())
-        ),
-    )
+    _statistics_section(report, g)
     return report
 
 
@@ -303,15 +295,8 @@ def embed_report(g: Gpt, exact_dim: bool) -> Report:
     if not _validation_section(report, g):
         return report
     if exact_dim:
-        result = embed_exact_dim(g)
-        s = report.section("embedding_same_dimension")
-        s.add("sought ontic size", g.dim)
-        s.add("candidates explored", result.explored)
-        s.add("model found", result.found)
-        if result.found:
-            _model_entries(report, s, g, result.model, "model")
-        else:
-            s.note(result.caveat)
+        s, result = _same_dimension_section(report, g)
+        if not result.found:
             lp_result = embed_lp(g)
             s.add(
                 "unbounded-cardinality comparison",
@@ -321,16 +306,7 @@ def embed_report(g: Gpt, exact_dim: bool) -> Report:
             )
             s.add("table rank bound", model_dimension_bound(g))
     else:
-        result = embed_lp(g)
-        s = report.section("embedding_lp")
-        s.add("model found", result.found)
-        if result.found:
-            _model_entries(report, s, g, result.model, "model")
-        else:
-            s.add("infeasibility certificate", vector_list(result.farkas))
-            report.add_check(
-                "embedding infeasibility certificate re-verifies", result.verify_farkas
-            )
+        _lp_section(report, g)
     return report
 
 

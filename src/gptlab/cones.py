@@ -113,6 +113,16 @@ def double_description(normals: Sequence[Vec], dim: int) -> tuple[tuple[Vec, ...
     return lin_canon, ray_canon
 
 
+def _generators(lineality: Sequence[Vec], rays: Sequence[Vec]) -> tuple[Vec, ...]:
+    """Double-description output as one sorted generator list, each
+    lineality vector entering as the pair +l, -l."""
+    out = list(rays)
+    for l in lineality:
+        out.append(l)
+        out.append(vec_scale(-1, l))
+    return tuple(sorted(integerize(v) for v in out))
+
+
 # ---------------------------------------------------------------------------
 # generator reduction
 
@@ -169,19 +179,11 @@ class Cone:
             return NotImplemented
         return cones_equal(self, other)
 
-    def __hash__(self):
-        return hash((self.dim, self.rays))
-
     @property
     def facets(self) -> tuple[Vec, ...]:
         """Reduced inward normals; opposite pairs encode equality constraints."""
         if self._facets is None:
-            lin, rays = double_description(self.rays, self.dim)
-            normals = list(rays)
-            for l in lin:
-                normals.append(l)
-                normals.append(vec_scale(-1, l))
-            self._facets = tuple(sorted(integerize(n) for n in normals))
+            self._facets = _generators(*double_description(self.rays, self.dim))
         return self._facets
 
 
@@ -198,27 +200,13 @@ def cone_from_facets(normals: Iterable[Vec], dim: int) -> Cone:
     for n in kept:
         if len(n) != dim:
             raise DimensionMismatch(dim, len(n), "cone facet normal")
-    lin, rays = double_description(kept, dim)
-    all_rays = list(rays)
-    for l in lin:
-        all_rays.append(l)
-        all_rays.append(vec_scale(-1, l))
-    return Cone(dim, tuple(sorted(integerize(r) for r in all_rays)), facets=kept)
+    return Cone(dim, _generators(*double_description(kept, dim)), facets=kept)
 
 
 def dual_cone(c: Cone) -> Cone:
     """{ f : <f, r> >= 0 for every ray r }, with its own reduced rays."""
-    lin, rays = double_description(c.rays, c.dim)
-    all_rays = list(rays)
-    for l in lin:
-        all_rays.append(l)
-        all_rays.append(vec_scale(-1, l))
-    # the primal rays are exactly the facet normals of the dual
-    return Cone(c.dim, tuple(sorted(integerize(r) for r in all_rays)), facets=c.rays)
-
-
-def extreme_rays(c: Cone) -> tuple[Vec, ...]:
-    return c.rays
+    # the facet normals of a cone are the rays of its dual, and conversely
+    return Cone(c.dim, c.facets, facets=c.rays)
 
 
 def is_simplicial(c: Cone) -> bool:

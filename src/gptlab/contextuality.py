@@ -254,14 +254,6 @@ def nonunique_decomposition(
     return None
 
 
-def nonconvexly_overcomplete(
-    generators: Sequence[tuple[str, Vec]], normalizer: Vec
-) -> NonUniqueDecomposition | None:
-    """Alias expressing intent: a witness exists iff the family is
-    nonconvexly overcomplete on the slice."""
-    return nonunique_decomposition(generators, normalizer)
-
-
 def interior_state_functional(g: Gpt) -> Vec:
     """A functional strictly positive on every effect generator, found by
     exact LP; used to put effect families onto an affine slice."""

@@ -15,27 +15,28 @@ under its own classification instead of reconciling it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from . import lp
-from .cones import cone_from_rays, dual_cone
+from .cones import cone_from_rays, member_cone
 from .contextuality import (
     NonUniqueDecomposition,
     classify,
     interior_state_functional,
-    nonconvexly_overcomplete,
+    nonunique_decomposition,
 )
 from .errors import InputError, InternalCheckError
-from .linalg import Vec, format_vec, inner, integerize, vec_scale, vec_sub
+from .linalg import Vec, format_rational, format_vec, inner, integerize, vec_scale, vec_sub
 from .theory import (
     BonusElement,
     Gpt,
+    close_effects,
+    close_states,
+    closed_theory,
     effect_cone,
     in_effect_set,
     in_state_set,
     no_restriction_check,
+    reduce_named,
     require_valid,
-    scale_to_effect_interval,
     state_cone,
 )
 
@@ -100,39 +101,26 @@ def extend_theory(g: Gpt, b: BonusElement) -> ExtensionOutcome:
             "classification of dimension-raising elements is reported, not computed"
         )
     warnings: list[str] = []
+    name = f"{g.name}+{b.label}" if g.name else f"extended+{b.label}"
     if b.kind == "effect":
         complement = vec_sub(g.unit, b.vector)
         raw = list(g.effects()) + [(b.label, b.vector), (f"{b.label}_c", complement)]
         new_cone = cone_from_rays([v for _, v in raw], g.dim)
-        dual = dual_cone(new_cone)
-        points = []
-        for ray in dual.rays:
-            w = inner(g.unit, ray)
-            if w <= 0:
-                raise InputError(
-                    f"bonus effect {b.label!r} leaves an unbounded or empty state set; "
-                    f"offending dual direction {format_vec(ray)}"
-                )
-            points.append(vec_scale(Fraction(1) / w, ray))
+        points = close_states(new_cone, g.unit)
         if not points:
-            evidence = lp.solve_feasibility(
-                [v + (Fraction(0),) for v in new_cone.rays], g.unit + (Fraction(0),)
+            # a state x would need <-unit, x> >= 0 and <unit, x> = 1 at once
+            evidence = member_cone(vec_scale(-1, g.unit), new_cone)
+            terms = " + ".join(
+                f"{format_rational(c)} * {format_vec(r)}"
+                for c, r in zip(evidence.coefficients, new_cone.rays)
+                if c != 0
             )
             raise InputError(
-                f"bonus effect {b.label!r} empties the state set; evidence: {evidence}"
+                f"bonus effect {b.label!r} empties the state set; evidence: -unit = {terms}"
             )
-        kept_effects = _reduced_named(raw, new_cone.rays)
-        new_states = tuple((f"d{i + 1}", p) for i, p in enumerate(sorted(points)))
-        extended = Gpt(
-            dim=g.dim,
-            unit=g.unit,
-            effect_names=tuple(n for n, _ in kept_effects),
-            effect_vectors=tuple(v for _, v in kept_effects),
-            state_names=tuple(n for n, _ in new_states),
-            state_vectors=tuple(v for _, v in new_states),
-            claims_no_restriction=True,
-            pvvms=(),
-            name=f"{g.name}+{b.label}" if g.name else f"extended+{b.label}",
+        kept_effects = reduce_named(raw, new_cone.rays)
+        extended = closed_theory(
+            g, kept_effects, [(f"d{i + 1}", p) for i, p in enumerate(points)], name
         )
         expelled = tuple(
             (label, s)
@@ -148,22 +136,10 @@ def extend_theory(g: Gpt, b: BonusElement) -> ExtensionOutcome:
             )
         raw_states = list(g.states()) + [(b.label, b.vector)]
         new_state_cone = cone_from_rays([v for _, v in raw_states], g.dim)
-        kept_states = _reduced_named(raw_states, new_state_cone.rays)
-        atoms = sorted(
-            scale_to_effect_interval(h, [v for _, v in kept_states])
-            for h in dual_cone(new_state_cone).rays
-        )
-        new_effects = tuple((f"f{i + 1}", a) for i, a in enumerate(atoms))
-        extended = Gpt(
-            dim=g.dim,
-            unit=g.unit,
-            effect_names=tuple(n for n, _ in new_effects),
-            effect_vectors=tuple(v for _, v in new_effects),
-            state_names=tuple(n for n, _ in kept_states),
-            state_vectors=tuple(v for _, v in kept_states),
-            claims_no_restriction=True,
-            pvvms=(),
-            name=f"{g.name}+{b.label}" if g.name else f"extended+{b.label}",
+        kept_states = reduce_named(raw_states, new_state_cone.rays)
+        atoms = close_effects(new_state_cone, [v for _, v in kept_states])
+        extended = closed_theory(
+            g, [(f"f{i + 1}", a) for i, a in enumerate(atoms)], kept_states, name
         )
         expelled = tuple(
             (label, e)
@@ -185,19 +161,6 @@ def extend_theory(g: Gpt, b: BonusElement) -> ExtensionOutcome:
     return ExtensionOutcome(
         theory=extended, added_labels=added, expelled=expelled, warnings=tuple(warnings)
     )
-
-
-def _reduced_named(named, extreme_rays):
-    out, used = [], set()
-    for ray in extreme_rays:
-        for label, v in named:
-            if label not in used and integerize(v) == ray:
-                out.append((label, v))
-                used.add(label)
-                break
-        else:
-            out.append((f"r{len(out) + 1}", ray))
-    return out
 
 
 def classify_bonus(g: Gpt, b: BonusElement) -> ResourceVerdict:
@@ -279,7 +242,7 @@ def classify_bonus(g: Gpt, b: BonusElement) -> ResourceVerdict:
         inside = in_state_set(g, b.vector)
         side_name = "state set"
 
-    witness = nonconvexly_overcomplete(family, normalizer)
+    witness = nonunique_decomposition(family, normalizer)
     cond_iii = ConditionReport(
         "iii",
         witness is not None,

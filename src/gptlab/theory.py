@@ -179,14 +179,12 @@ def state_cone(g: Gpt) -> Cone:
     return cone_from_rays(g.state_vectors, g.dim)
 
 
-@lru_cache(maxsize=None)
-def max_state_points(g: Gpt) -> tuple[Vec, ...]:
-    """Extreme points of the largest state set the effects allow: the dual
-    cone of the effect cone, sliced at <U, x> = 1."""
-    dual = dual_cone(effect_cone(g))
+def close_states(effect_cone: Cone, unit: Vec) -> tuple[Vec, ...]:
+    """Extreme points of the largest state set an effect cone allows: its
+    dual cone sliced at <unit, x> = 1, sorted."""
     points = []
-    for ray in dual.rays:
-        weight = inner(g.unit, ray)
+    for ray in dual_cone(effect_cone).rays:
+        weight = inner(unit, ray)
         if weight <= 0:
             raise TheoryConsistencyError(
                 f"unit is not strictly positive on the dual ray {format_vec(ray)}; "
@@ -194,6 +192,22 @@ def max_state_points(g: Gpt) -> tuple[Vec, ...]:
             )
         points.append(vec_scale(Fraction(1) / weight, ray))
     return tuple(sorted(points))
+
+
+def close_effects(state_cone: Cone, state_points: Sequence[Vec]) -> tuple[Vec, ...]:
+    """Generators of the full dual order interval of a state cone: each
+    extreme ray of its dual scaled onto [0, unit] against the (normalised)
+    state points spanning it, sorted.  Complement closure holds by
+    construction."""
+    return tuple(
+        sorted(scale_to_effect_interval(h, state_points) for h in dual_cone(state_cone).rays)
+    )
+
+
+@lru_cache(maxsize=None)
+def max_state_points(g: Gpt) -> tuple[Vec, ...]:
+    """Extreme points of the largest state set the effects allow."""
+    return close_states(effect_cone(g), g.unit)
 
 
 @lru_cache(maxsize=None)
@@ -212,15 +226,6 @@ def scale_to_effect_interval(h: Vec, states: Sequence[Vec]) -> Vec:
             "the effect interval is unbounded"
         )
     return vec_scale(min(bounds), h)
-
-
-def maximal_effect_atoms(g: Gpt) -> tuple[Vec, ...]:
-    """Generators of the full dual order interval of the state cone: each
-    extreme ray of the maximal effect cone scaled onto [0, unit].  These are
-    valid effect generators (complement closure holds by construction)."""
-    return tuple(
-        sorted(scale_to_effect_interval(h, g.state_vectors) for h in max_effect_rays(g))
-    )
 
 
 def in_effect_set(g: Gpt, e: Vec) -> bool:
@@ -429,38 +434,19 @@ def complete(g: Gpt, mode: str) -> Gpt:
     """
     require_valid(g)
     if mode == FIX_EFFECTS:
-        kept = _reduce_named(g.effects(), effect_cone(g).rays)
-        new_states = tuple(
-            (f"d{i + 1}", p) for i, p in enumerate(max_state_points(g))
-        )
-        completed = Gpt(
-            dim=g.dim,
-            unit=g.unit,
-            effect_names=tuple(n for n, _ in kept),
-            effect_vectors=tuple(v for _, v in kept),
-            state_names=tuple(n for n, _ in new_states),
-            state_vectors=tuple(v for _, v in new_states),
-            claims_no_restriction=True,
-            pvvms=g.pvvms,
-            name=f"{g.name}.completed-states" if g.name else "completed-states",
+        completed = closed_theory(
+            g,
+            reduce_named(g.effects(), effect_cone(g).rays),
+            [(f"d{i + 1}", p) for i, p in enumerate(max_state_points(g))],
+            f"{g.name}.completed-states" if g.name else "completed-states",
         )
     elif mode == FIX_STATES:
-        kept_states = [
-            (label, s)
-            for label, s in g.states()
-            if not member_convex(s, [v for l, v in g.states() if l != label]).inside
-        ]
-        new_effects = tuple((f"f{i + 1}", a) for i, a in enumerate(maximal_effect_atoms(g)))
-        completed = Gpt(
-            dim=g.dim,
-            unit=g.unit,
-            effect_names=tuple(n for n, _ in new_effects),
-            effect_vectors=tuple(v for _, v in new_effects),
-            state_names=tuple(n for n, _ in kept_states),
-            state_vectors=tuple(v for _, v in kept_states),
-            claims_no_restriction=True,
-            pvvms=(),
-            name=f"{g.name}.completed-effects" if g.name else "completed-effects",
+        atoms = close_effects(state_cone(g), g.state_vectors)
+        completed = closed_theory(
+            g,
+            [(f"f{i + 1}", a) for i, a in enumerate(atoms)],
+            pure_states(g),
+            f"{g.name}.completed-effects" if g.name else "completed-effects",
         )
     else:
         raise InputError(f"unknown completion mode {mode!r}; use {FIX_EFFECTS} or {FIX_STATES}")
@@ -470,7 +456,38 @@ def complete(g: Gpt, mode: str) -> Gpt:
     return completed
 
 
-def _reduce_named(named: tuple[tuple[str, Vec], ...], extreme: tuple[Vec, ...]) -> list[tuple[str, Vec]]:
+def closed_theory(
+    g: Gpt,
+    effects: Sequence[tuple[str, Vec]],
+    states: Sequence[tuple[str, Vec]],
+    name: str,
+) -> Gpt:
+    """A theory on g's space and unit with the given generators, asserting
+    the no-restriction property (callers check it).  Of g's measurements it
+    keeps those whose outcomes are all still present with the same label and
+    vector; any other would name an effect the new theory lacks."""
+    kept = dict(effects)
+    pvvms = tuple(
+        p
+        for p in g.pvvms
+        if all(kept.get(label) == g.effect(label) for label in p.outcome_labels)
+    )
+    return Gpt(
+        dim=g.dim,
+        unit=g.unit,
+        effect_names=tuple(n for n, _ in effects),
+        effect_vectors=tuple(v for _, v in effects),
+        state_names=tuple(n for n, _ in states),
+        state_vectors=tuple(v for _, v in states),
+        claims_no_restriction=True,
+        pvvms=pvvms,
+        name=name,
+    )
+
+
+def reduce_named(
+    named: Sequence[tuple[str, Vec]], extreme: Sequence[Vec]
+) -> list[tuple[str, Vec]]:
     """Keep one named generator per extreme ray (the first matching), so a
     redundant input list comes back reduced with its labels intact."""
     out = []
@@ -494,10 +511,13 @@ def _reduce_named(named: tuple[tuple[str, Vec], ...], extreme: tuple[Vec, ...]) 
 
 @lru_cache(maxsize=None)
 def pure_states(g: Gpt) -> tuple[tuple[str, Vec], ...]:
-    """Generators that are extreme points of the state set."""
+    """Generators that are extreme points of the state set; a repeated
+    vector keeps its first label."""
     out = []
-    for label, s in g.states():
-        others = [v for l, v in g.states() if l != label]
+    for i, (label, s) in enumerate(g.states()):
+        if s in g.state_vectors[:i]:
+            continue
+        others = [v for v in g.state_vectors if v != s]
         if not others or not member_convex(s, others).inside:
             out.append((label, s))
     return tuple(out)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -95,6 +96,16 @@ def test_membership_convex():
     outside = member_convex(vec(1, 1, 1), SQUARE_STATES)
     assert not outside.inside
     assert outside.verify(vec(1, 1, 1), SQUARE_STATES, convex=True)
+
+
+def test_cone_is_unhashable():
+    # equal cones may be spanned by different rays, so no hash of the ray
+    # list can agree with ==
+    a = cone_from_rays([vec(1, 0), vec(-1, 0), vec(0, 1)], 2)
+    b = cone_from_rays([vec(1, 0), vec(-1, 0), vec(1, 1)], 2)
+    assert a == b and a.rays != b.rays
+    with pytest.raises(TypeError):
+        hash(a)
 
 
 def test_is_simplicial():

@@ -104,9 +104,17 @@ def test_refinable_bonus_warns_but_classifies(trit):
 
 
 def test_emptying_bonus_rejected(trit):
-    # an effect that is negative on the whole simplex leaves no states
-    with pytest.raises(InputError):
+    # an effect that is negative on the whole simplex leaves no states; the
+    # message expands -unit over the extended effect cone's rays
+    with pytest.raises(InputError) as info:
         extend_theory(trit, BonusElement("effect", "b", vec(-1, -1, -1)))
+    _, _, expansion = str(info.value).partition("evidence: -unit = ")
+    total = [Fraction(0)] * 3
+    for term in expansion.split(" + "):
+        coef, _, ray = term.partition(" * ")
+        for i, x in enumerate(ray.strip("[]").split(", ")):
+            total[i] += Fraction(coef) * Fraction(x)
+    assert expansion and tuple(total) == vec(-1, -1, -1)
 
 
 def test_classify_bonus_requires_classical_host():

@@ -1,13 +1,16 @@
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
 from gptlab import catalog
 from gptlab.cones import cones_equal, member_convex
+from gptlab.contextuality import classify
 from gptlab.errors import InputError, TheoryConsistencyError
 from gptlab.linalg import inner, integerize, vec, vec_add, vec_scale, vec_sub
+from gptlab.theoryfile import parse_path
 from gptlab.theory import (
     FIX_EFFECTS,
     FIX_STATES,
@@ -216,6 +219,16 @@ def test_completion_fix_states(theories):
     assert set(completed.state_vectors) == set(theories["rebit"].state_vectors)
 
 
+def test_completion_keeps_only_intact_measurements():
+    # H's outcomes h1 = h2 = [1/2, 1/2] are interior to the effect cone, so
+    # the completion drops them and must drop H with them
+    g = parse_path(str(Path(__file__).parent / "golden" / "redundant_measurement.gpt"))
+    completed = complete(g, FIX_EFFECTS)
+    assert set(completed.effect_names) == {"e1", "e2"}
+    assert [p.name for p in completed.pvvms] == ["M"]
+    assert validate(completed).ok
+
+
 def test_already_dual_theory_unchanged(theories):
     g = theories["spekkens_container"]
     completed = complete(g, FIX_EFFECTS)
@@ -251,6 +264,16 @@ def test_pure_states_drop_interior_mixture(theories):
     )
     labels = [l for l, _ in pure_states(mixed)]
     assert "mix" not in labels and len(labels) == 4
+
+
+def test_pure_states_keep_first_label_of_repeated_vector(theories):
+    g = theories["classical_bit"]
+    repeated = replace(
+        g, state_names=g.state_names + ("q1",), state_vectors=g.state_vectors + (vec(1, 0),)
+    )
+    assert [l for l, _ in pure_states(repeated)] == ["p1", "p2"]
+    assert complete(repeated, FIX_STATES).state_names == ("p1", "p2")
+    assert classify(repeated).noncontextual
 
 
 def test_nonrefinable_effects(theories):
