@@ -31,6 +31,8 @@ from .theory import (
     Gpt,
     complete,
     effect_cone,
+    max_effect_rays,
+    max_state_points,
     min_model_dimension,
     no_restriction_check,
     nonrefinable_effects,
@@ -86,6 +88,15 @@ def _no_restriction_section(report: Report, g: Gpt):
                 lambda w=w: not member_cone(w, effect_cone(g)).inside,
             )
     return check
+
+
+def _no_restriction_by_lp(g: Gpt) -> bool:
+    """The no-restriction property re-decided by one membership LP per
+    maximal state point and effect ray, independently of the ray-set test
+    in `no_restriction_check`."""
+    return all(
+        member_convex(p, g.state_vectors).inside for p in max_state_points(g)
+    ) and all(member_cone(h, effect_cone(g)).inside for h in max_effect_rays(g))
 
 
 def _classification_section(report: Report, g: Gpt, heading: str = "classification"):
@@ -361,7 +372,7 @@ def resource_report(g: Gpt, b: BonusElement) -> Report:
         ext = verdict.extended
         report.add_check(
             "extended theory satisfies the no-restriction property",
-            lambda: no_restriction_check(ext).holds,
+            lambda: _no_restriction_by_lp(ext),
         )
     if verdict.expelled:
         s.add("expelled generators", ", ".join(label for label, _ in verdict.expelled))

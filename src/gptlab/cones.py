@@ -1,18 +1,22 @@
-"""Polyhedral cones: double description, duality, membership certificates.
+"""Polyhedral cones: double description, duality, membership.
 
-A cone is stored through a reduced generator (ray) list; the facet normals
-are computed on demand by running double description on the dual side and
-cached (write-once, so sharing across threads is safe).  Rays are kept in a
-canonical form, integer entries with content 1 and direction preserved,
-which makes cone comparisons plain set comparisons for pointed cones.
+A cone is stored through a reduced generator (ray) list and its facet
+normals.  Rays are kept in a canonical form, integer entries with content 1
+and direction preserved, which makes cone comparisons plain set comparisons
+for pointed cones.  Cones that contain lines are represented by including
+both v and -v among the generators; equality constraints in a facet
+description appear as the corresponding pair of opposite normals.
 
-Cones that contain lines are represented by including both v and -v among
-the generators; equality constraints in a facet description appear as the
-corresponding pair of opposite normals.
+Yes/no questions are answered from the two representations, with no LP:
+one double-description run on the generators yields the facets, a generator
+of a pointed full-dimensional cone is extreme iff the facets tight at it
+have rank dim - 1, and `contains` is a sign test over the facets.  Only
+cones with lines or of lower dimension fall back to greedy LP reduction.
 
-Membership questions are answered by the exact simplex in `lp` and come
-back as Farkas-style certificates that have been re-verified before being
-handed out.
+The exact simplex in `lp` serves the questions whose answer is a
+certificate that gets printed or consumed: `member_cone` and
+`member_convex` return an expansion or a separating functional, re-verified
+before being handed out.
 """
 
 from __future__ import annotations
@@ -127,19 +131,19 @@ def _generators(lineality: Sequence[Vec], rays: Sequence[Vec]) -> tuple[Vec, ...
 # generator reduction
 
 
-def in_conic_hull(q: Vec, generators: Sequence[Vec]) -> bool:
-    if not generators:
-        return is_zero_vec(q)
-    return lp.solve_feasibility(list(generators), q).feasible
+def _tight_rank(v: Vec, normals: Sequence[Vec]) -> int:
+    tight = [n for n in normals if inner(n, v) == 0]
+    return rank(tight) if tight else 0
 
 
-def reduce_generators(vectors: Iterable[Vec]) -> tuple[Vec, ...]:
-    """Minimal sub-list generating the same cone: canonicalise scaling, drop
-    zeros and duplicates, then greedily remove conic combinations.
+def _reduce(vectors: Iterable[Vec]) -> tuple[tuple[Vec, ...], tuple[Vec, ...] | None]:
+    """Minimal canonical generators of cone(vectors), and its facet normals
+    when the cone is pointed and full-dimensional (else None).
 
-    For pointed cones the result is exactly the set of extreme rays; for
-    cones with lines a minimal generating set is not unique and the greedy
-    order (canonical sort) pins the answer down.
+    That case takes one double description: a generator is extreme iff the
+    facets tight at it have rank dim - 1 (Fukuda & Prodon 1996).  Otherwise
+    conic combinations are removed greedily by LP in canonical order, which
+    pins down a minimal generating set of a cone with lines.
     """
     seen: dict[Vec, None] = {}
     for v in vectors:
@@ -147,14 +151,27 @@ def reduce_generators(vectors: Iterable[Vec]) -> tuple[Vec, ...]:
         if not is_zero_vec(cv):
             seen.setdefault(cv, None)
     current = sorted(seen)
+    if not current:
+        return (), None
+    dim = len(current[0])
+    lineality, normals = double_description(current, dim)
+    if not lineality and normals and rank(normals) == dim:
+        kept = tuple(v for v in current if _tight_rank(v, normals) == dim - 1)
+        return kept, normals
     i = 0
     while i < len(current):
         others = current[:i] + current[i + 1 :]
-        if others and in_conic_hull(current[i], others):
+        if others and lp.solve_feasibility(others, current[i]).feasible:
             current.pop(i)
         else:
             i += 1
-    return tuple(current)
+    return tuple(current), None
+
+
+def reduce_generators(vectors: Iterable[Vec]) -> tuple[Vec, ...]:
+    """Minimal sub-list generating the same cone, in canonical form: the
+    extreme rays for pointed cones."""
+    return _reduce(vectors)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +179,7 @@ def reduce_generators(vectors: Iterable[Vec]) -> tuple[Vec, ...]:
 
 
 class Cone:
-    """Polyhedral cone in ray representation, facets cached on first use."""
+    """Polyhedral cone in ray representation; facets given or computed once."""
 
     __slots__ = ("dim", "rays", "_facets")
 
@@ -188,19 +205,21 @@ class Cone:
 
 
 def cone_from_rays(rays: Iterable[Vec], dim: int) -> Cone:
-    reduced = reduce_generators(rays)
+    reduced, facets = _reduce(rays)
     for r in reduced:
         if len(r) != dim:
             raise DimensionMismatch(dim, len(r), "cone ray")
-    return Cone(dim, reduced)
+    return Cone(dim, reduced, facets)
 
 
 def cone_from_facets(normals: Iterable[Vec], dim: int) -> Cone:
-    kept = reduce_generators(normals)  # same Farkas reduction applies to normals
+    kept, rays = _reduce(normals)  # same reduction applies to normals
     for n in kept:
         if len(n) != dim:
             raise DimensionMismatch(dim, len(n), "cone facet normal")
-    return Cone(dim, _generators(*double_description(kept, dim)), facets=kept)
+    if rays is None:
+        rays = _generators(*double_description(kept, dim))
+    return Cone(dim, rays, facets=kept)
 
 
 def dual_cone(c: Cone) -> Cone:
@@ -215,17 +234,11 @@ def is_simplicial(c: Cone) -> bool:
     return rank(mat(c.rays)) == c.dim
 
 
-def is_pointed(c: Cone) -> bool:
-    if not c.rays:
-        return True
-    # pointed iff no nontrivial nonnegative combination of rays vanishes
-    columns = [r + (Fraction(1),) for r in c.rays]
-    target = zeros(c.dim) + (Fraction(1),)
-    return not lp.solve_feasibility(columns, target).feasible
-
-
-def is_full_dimensional(c: Cone) -> bool:
-    return bool(c.rays) and rank(mat(c.rays)) == c.dim
+def contains(c: Cone, q: Vec) -> bool:
+    """q in c, by the signs of the facet normals (no LP, no certificate)."""
+    if len(q) != c.dim:
+        raise DimensionMismatch(c.dim, len(q), "membership query")
+    return all(inner(n, q) >= 0 for n in c.facets)
 
 
 def cones_equal(a: Cone, b: Cone) -> bool:
@@ -233,9 +246,7 @@ def cones_equal(a: Cone, b: Cone) -> bool:
         return False
     if a.rays == b.rays:
         return True
-    return all(in_conic_hull(r, b.rays) for r in a.rays) and all(
-        in_conic_hull(r, a.rays) for r in b.rays
-    )
+    return all(contains(b, r) for r in a.rays) and all(contains(a, r) for r in b.rays)
 
 
 # ---------------------------------------------------------------------------

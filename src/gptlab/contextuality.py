@@ -83,9 +83,6 @@ class OntModel:
     def ontic_size(self) -> int:
         return len(self.state_frame)
 
-    def state_distribution(self, s: Vec) -> tuple[Fraction, ...]:
-        return tuple(inner(s, f) for f in self.effect_frame)
-
     def response_function(self, e: Vec) -> tuple[Fraction, ...]:
         return tuple(inner(e, d) for d in self.state_frame)
 

@@ -134,18 +134,6 @@ def outer(a: Vec, b: Vec) -> Mat:
     return tuple(tuple(x * y for y in b) for x in a)
 
 
-def mat_add(m1: Mat, m2: Mat) -> Mat:
-    return tuple(vec_add(r1, r2) for r1, r2 in zip(m1, m2))
-
-
-def mat_vec(m: Mat, v: Vec) -> Vec:
-    return tuple(inner(row, v) for row in m)
-
-
-def transpose(m: Mat) -> Mat:
-    return tuple(zip(*m))
-
-
 # ---------------------------------------------------------------------------
 # scaling normalisation
 

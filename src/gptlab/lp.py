@@ -79,15 +79,17 @@ def solve_feasibility(columns: Sequence[Vec], b: Vec) -> Feasible | Infeasible:
                     pivot_row = i
         if pivot_row is None:
             raise InternalCheckError("phase-I objective unbounded; tableau corrupted")
-        piv = tableau[pivot_row][entering]
-        tableau[pivot_row] = [x / piv for x in tableau[pivot_row]]
-        for i in range(m):
-            if i != pivot_row and tableau[i][entering] != 0:
-                f = tableau[i][entering]
-                tableau[i] = [a - f * p for a, p in zip(tableau[i], tableau[pivot_row])]
-        if obj[entering] != 0:
-            f = obj[entering]
-            obj = [a - f * p for a, p in zip(obj, tableau[pivot_row])]
+        # sparse update: only the columns where the pivot row is nonzero change
+        prow = tableau[pivot_row]
+        piv = prow[entering]
+        support = [j for j, x in enumerate(prow) if x != 0]
+        for j in support:
+            prow[j] /= piv
+        for row in tableau + [obj]:
+            f = row[entering]
+            if row is not prow and f != 0:
+                for j in support:
+                    row[j] -= f * prow[j]
         basis[pivot_row] = entering
 
     objective = -obj[-1]

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import cones
-from .cones import Cone, cone_from_rays, dual_cone, member_cone, member_convex
+from .cones import Cone, cone_from_rays, contains, dual_cone, member_cone, member_convex
 from .errors import DimensionMismatch, InputError, InternalCheckError, TheoryConsistencyError
 from .linalg import (
     Mat,
@@ -229,9 +229,10 @@ def scale_to_effect_interval(h: Vec, states: Sequence[Vec]) -> Vec:
 
 
 def in_effect_set(g: Gpt, e: Vec) -> bool:
-    """Effect-set membership: e and its complement both in the effect cone."""
+    """Effect-set membership: e and its complement both in the effect cone,
+    by facet signs.  g must be valid (callers run `require_valid`)."""
     c = effect_cone(g)
-    return member_cone(e, c).inside and member_cone(vec_sub(g.unit, e), c).inside
+    return contains(c, e) and contains(c, vec_sub(g.unit, e))
 
 
 def in_state_set(g: Gpt, s: Vec) -> bool:
@@ -325,7 +326,7 @@ def _base_violations(g: Gpt) -> list[Violation]:
                 )
     ec = effect_cone(g)
     for label, e in g.effects():
-        if not member_cone(vec_sub(g.unit, e), ec).inside:
+        if not contains(ec, vec_sub(g.unit, e)):
             out.append(
                 Violation(
                     "missing-complement",
@@ -392,25 +393,27 @@ def no_restriction_check(g: Gpt) -> NoRestrictionResult:
     Witnesses are actual elements of the gaps: valid maximal states outside
     the stored state set, and maximal effects (scaled into [0, unit]) outside
     the stored effect set.
+
+    g must be valid (callers run `require_valid`): each cone lies in the
+    dual of the other and the states are normalised, so an extreme point of
+    the larger set lies in the smaller one iff its canonical ray is extreme
+    there too, and each gap is a set difference of rays.
     """
     state_points = max_state_points(g)
-    state_gap = tuple(
-        p for p in state_points if not member_convex(p, g.state_vectors).inside
-    )
+    state_rays = set(state_cone(g).rays)
+    state_gap = tuple(p for p in state_points if integerize(p) not in state_rays)
 
     effect_rays = max_effect_rays(g)
-    ec = effect_cone(g)
-    effect_gap = []
-    for h in effect_rays:
-        if member_cone(h, ec).inside:
-            continue
-        # scale the missing direction onto [0, unit] so the witness is a
-        # genuine effect of the maximal theory
-        effect_gap.append(scale_to_effect_interval(h, g.state_vectors))
+    stored = set(effect_cone(g).rays)
+    # scale each missing direction onto [0, unit] so the witness is a
+    # genuine effect of the maximal theory
+    effect_gap = tuple(
+        scale_to_effect_interval(h, g.state_vectors) for h in effect_rays if h not in stored
+    )
     return NoRestrictionResult(
         holds=not state_gap and not effect_gap,
         state_witnesses=state_gap,
-        effect_witnesses=tuple(effect_gap),
+        effect_witnesses=effect_gap,
         max_state_points=state_points,
         max_effect_rays=effect_rays,
     )
@@ -512,13 +515,13 @@ def reduce_named(
 @lru_cache(maxsize=None)
 def pure_states(g: Gpt) -> tuple[tuple[str, Vec], ...]:
     """Generators that are extreme points of the state set; a repeated
-    vector keeps its first label."""
+    vector keeps its first label.  g must be valid (callers run
+    `require_valid`): with normalised states, a state is extreme iff its
+    canonical vector is a ray of the state cone."""
+    rays = set(state_cone(g).rays)
     out = []
     for i, (label, s) in enumerate(g.states()):
-        if s in g.state_vectors[:i]:
-            continue
-        others = [v for v in g.state_vectors if v != s]
-        if not others or not member_convex(s, others).inside:
+        if s not in g.state_vectors[:i] and integerize(s) in rays:
             out.append((label, s))
     return tuple(out)
 

@@ -1,5 +1,6 @@
-"""Shared test utilities: independent brute-force oracles and seeded random
-instance generators.
+"""Shared test utilities: independent brute-force oracles, the LP
+definitions the double-description decisions are checked against, helpers
+only tests use, and seeded random instance generators.
 
 The oracles deliberately avoid the library's own algorithms: vertex
 enumeration goes through exhaustive tight-constraint subsets and plain
@@ -13,8 +14,89 @@ from fractions import Fraction
 from itertools import combinations
 from random import Random
 
-from gptlab.linalg import inner, integerize, mat, null_space, rank, vec_scale
-from gptlab.theory import Gpt, build_gpt
+from gptlab import lp
+from gptlab.cones import Cone, member_cone, member_convex
+from gptlab.linalg import Mat, Vec, inner, integerize, mat, null_space, rank, vec_add, vec_scale, zeros
+from gptlab.theory import (
+    Gpt,
+    build_gpt,
+    effect_cone,
+    max_effect_rays,
+    max_state_points,
+    scale_to_effect_interval,
+)
+
+
+def mat_add(m1: Mat, m2: Mat) -> Mat:
+    return tuple(vec_add(r1, r2) for r1, r2 in zip(m1, m2))
+
+
+def transpose(m: Mat) -> Mat:
+    return tuple(zip(*m))
+
+
+def state_distribution(model, s: Vec) -> tuple[Fraction, ...]:
+    """The ontic distribution an OntModel assigns to the state s."""
+    return tuple(inner(s, f) for f in model.effect_frame)
+
+
+def is_pointed(c: Cone) -> bool:
+    """No nontrivial nonnegative combination of rays vanishes (one LP)."""
+    if not c.rays:
+        return True
+    columns = [r + (Fraction(1),) for r in c.rays]
+    target = zeros(c.dim) + (Fraction(1),)
+    return not lp.solve_feasibility(columns, target).feasible
+
+
+def is_full_dimensional(c: Cone) -> bool:
+    return bool(c.rays) and rank(mat(c.rays)) == c.dim
+
+
+# ---------------------------------------------------------------------------
+# LP definitions: the reference answers the double-description fast paths
+# must reproduce
+
+
+def lp_reduce_generators(vectors):
+    """Canonical generators with every conic combination of the others
+    removed greedily, one LP per generator, in canonical sort order."""
+    current = sorted({integerize(v) for v in vectors if any(x != 0 for x in v)})
+    i = 0
+    while i < len(current):
+        others = current[:i] + current[i + 1 :]
+        if others and lp.solve_feasibility(others, current[i]).feasible:
+            current.pop(i)
+        else:
+            i += 1
+    return tuple(current)
+
+
+def lp_pure_states(g: Gpt):
+    """States outside the convex hull of the other state vectors; a
+    repeated vector keeps its first label."""
+    out = []
+    for i, (label, s) in enumerate(g.states()):
+        if s in g.state_vectors[:i]:
+            continue
+        others = [v for v in g.state_vectors if v != s]
+        if not others or not member_convex(s, others).inside:
+            out.append((label, s))
+    return tuple(out)
+
+
+def lp_no_restriction_gaps(g: Gpt):
+    """(missing states, missing effects) by one membership LP per maximal
+    extreme point and per maximal extreme ray."""
+    states = tuple(
+        p for p in max_state_points(g) if not member_convex(p, g.state_vectors).inside
+    )
+    effects = tuple(
+        scale_to_effect_interval(h, g.state_vectors)
+        for h in max_effect_rays(g)
+        if not member_cone(h, effect_cone(g)).inside
+    )
+    return states, effects
 
 
 def _solve_square(rows, rhs):

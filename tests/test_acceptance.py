@@ -24,7 +24,6 @@ from gptlab.linalg import (
     identity,
     inner,
     integerize,
-    mat_add,
     outer,
     vec,
     vec_add,
@@ -42,7 +41,13 @@ from gptlab.theory import (
     theory_table,
 )
 
-from helpers import random_pair_subgpt, random_pointed_cone_rays, random_subgpt
+from helpers import (
+    mat_add,
+    random_pair_subgpt,
+    random_pointed_cone_rays,
+    random_subgpt,
+    state_distribution,
+)
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -138,7 +143,7 @@ def test_criterion_5_same_dimension_embedding_positive():
     assert report.ok
     # exact statistics: the model reproduces the 6x6 table entry by entry
     for i, (_, s) in enumerate(toy.states()):
-        dist = model.state_distribution(s)
+        dist = state_distribution(model, s)
         for j, (_, e) in enumerate(toy.effects()):
             resp = model.response_function(e)
             value = sum((a * b for a, b in zip(dist, resp)), Fraction(0))
@@ -166,7 +171,7 @@ def test_criterion_6_same_dimension_embedding_negative():
         recon = mat_add(recon, outer(d, f))
     assert recon == identity(3)
     for i, (_, s) in enumerate(rebit.states()):
-        dist = model.state_distribution(s)
+        dist = state_distribution(model, s)
         for j, (_, e) in enumerate(rebit.effects()):
             resp = model.response_function(e)
             value = sum((a * b for a, b in zip(dist, resp)), Fraction(0))

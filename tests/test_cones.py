@@ -10,15 +10,13 @@ from gptlab.cones import (
     cone_from_rays,
     cones_equal,
     dual_cone,
-    is_full_dimensional,
-    is_pointed,
     is_simplicial,
     member_cone,
     member_convex,
 )
 from gptlab.linalg import inner, integerize, solve_linear, vec
 
-from helpers import random_pointed_cone_rays
+from helpers import is_full_dimensional, is_pointed, random_pointed_cone_rays
 
 E_RAYS = [vec(1, 0, 1), vec(-1, 0, 1), vec(0, 1, 1), vec(0, -1, 1)]
 SQUARE_STATES = [

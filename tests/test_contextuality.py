@@ -17,10 +17,10 @@ from gptlab.contextuality import (
     verify_ncom,
 )
 from gptlab.errors import InputError
-from gptlab.linalg import identity, outer, mat_add, vec, zeros
+from gptlab.linalg import identity, outer, vec, zeros
 from gptlab.theory import theory_table
 
-from helpers import random_classical_theory, random_subgpt
+from helpers import mat_add, random_classical_theory, random_subgpt, state_distribution
 
 HALF = Fraction(1, 2)
 
@@ -163,7 +163,7 @@ def test_build_ncom_dirac_property(theories):
         g = theories[name]
         model = build_ncom(g)
         for k, d in enumerate(model.state_frame):
-            dist = model.state_distribution(d)
+            dist = state_distribution(model, d)
             assert dist == tuple(
                 Fraction(1 if i == k else 0) for i in range(model.ontic_size)
             )
@@ -261,7 +261,7 @@ def test_embedded_models_reproduce_full_table(theories):
         model = embed_lp(g).model
         table = theory_table(g)
         for i, (_, s) in enumerate(g.states()):
-            dist = model.state_distribution(s)
+            dist = state_distribution(model, s)
             for j, (_, e) in enumerate(g.effects()):
                 resp = model.response_function(e)
                 value = sum((a * b for a, b in zip(dist, resp)), Fraction(0))
@@ -309,7 +309,7 @@ def test_random_classical_theories_are_noncontextual():
         assert verdict.noncontextual
         model = verdict.model
         for k, d in enumerate(model.state_frame):
-            dist = model.state_distribution(d)
+            dist = state_distribution(model, d)
             assert dist[k] == 1 and sum(dist) == 1
 
 

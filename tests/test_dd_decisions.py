@@ -1,0 +1,141 @@
+"""Yes/no cone questions answered from the double description.
+
+The fast paths (extremality from tight facets, facet-sign membership, ray
+set differences) are checked against their LP definitions in `helpers`,
+and the bundled theories pin how many LPs each decision may run.
+"""
+
+from fractions import Fraction
+from random import Random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gptlab import catalog, cones, lp, theory
+from gptlab.cones import cone_from_rays, contains, member_cone, reduce_generators
+from gptlab.linalg import vec, vec_scale, vec_sub
+from gptlab.theory import (
+    in_effect_set,
+    no_restriction_check,
+    pure_states,
+    validate,
+)
+
+from helpers import (
+    is_full_dimensional,
+    is_pointed,
+    lp_no_restriction_gaps,
+    lp_pure_states,
+    lp_reduce_generators,
+    random_classical_theory,
+    random_pair_subgpt,
+    random_subgpt,
+)
+
+seeds = st.integers(min_value=0, max_value=10**9)
+
+HALF_PLANE = [vec(1, 0), vec(-1, 0), vec(0, 1), vec(1, 1), vec(-2, 3)]
+
+
+def random_generators(rng: Random, dim: int):
+    """Small integer generators: often pointed and full-dimensional, often
+    with lines or of lower dimension, so both reduction paths run."""
+    count = rng.randint(1, dim + 3)
+    return [tuple(Fraction(rng.randint(-2, 2)) for _ in range(dim)) for _ in range(count)]
+
+
+def random_theory(seed: int, dim: int):
+    rng = Random(seed)
+    return (random_subgpt, random_pair_subgpt, random_classical_theory)[seed % 3](rng, dim)
+
+
+def test_half_plane_takes_the_fallback_and_matches_the_lp_reduction():
+    c = cone_from_rays(HALF_PLANE, 2)
+    assert not is_pointed(c) and is_full_dimensional(c)
+    assert c.rays == lp_reduce_generators(HALF_PLANE)
+    for q in (vec(0, 0), vec(-5, 1), vec(3, 0), vec(0, -1), vec(1, -1)):
+        assert contains(c, q) == member_cone(q, c).inside
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.integers(min_value=1, max_value=4))
+def test_reduction_matches_greedy_lp_reduction(seed, dim):
+    gens = random_generators(Random(seed), dim)
+    assert reduce_generators(gens) == lp_reduce_generators(gens)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.integers(min_value=1, max_value=4))
+def test_contains_matches_membership_lp(seed, dim):
+    rng = Random(seed)
+    c = cone_from_rays(random_generators(rng, dim), dim)
+    queries = [tuple(Fraction(rng.randint(-3, 3)) for _ in range(dim)) for _ in range(4)]
+    queries += list(c.rays)
+    for q in queries:
+        assert contains(c, q) == member_cone(q, c).inside
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.integers(min_value=2, max_value=4))
+def test_ray_sets_match_membership_lps(seed, dim):
+    g = random_theory(seed, dim)
+    assert validate(g).ok
+    assert pure_states(g) == lp_pure_states(g)
+    check = no_restriction_check(g)
+    assert (check.state_witnesses, check.effect_witnesses) == lp_no_restriction_gaps(g)
+
+
+@pytest.mark.parametrize("name", catalog.bundled_names())
+def test_bundled_ray_sets_match_membership_lps(name):
+    g = catalog.get(name)
+    assert pure_states(g) == lp_pure_states(g)
+    check = no_restriction_check(g)
+    assert (check.state_witnesses, check.effect_witnesses) == lp_no_restriction_gaps(g)
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Cold theory caches, and the arguments of every LP solved."""
+    for f in vars(theory).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+    calls = []
+    solve = lp.solve_feasibility
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(lp, "solve_feasibility", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", catalog.bundled_names())
+def test_yes_no_decisions_solve_no_lp(name, lp_calls):
+    g = catalog.get(name)
+    assert validate(g).ok
+    no_restriction_check(g)
+    pure_states(g)
+    for e in g.effect_vectors:
+        assert in_effect_set(g, e)
+        assert in_effect_set(g, vec_scale(Fraction(1, 2), e))
+        assert in_effect_set(g, vec_sub(e, g.unit)) == (e == g.unit)
+    c = cone_from_rays(g.state_vectors, g.dim)
+    assert contains(c, g.state_vectors[0])
+    assert lp_calls == []
+
+
+def test_cone_facets_come_from_the_reduction_run(monkeypatch):
+    runs = []
+    dd = cones.double_description
+
+    def counting(*args):
+        runs.append(args)
+        return dd(*args)
+
+    monkeypatch.setattr(cones, "double_description", counting)
+    c = cone_from_rays(catalog.get("rebit").state_vectors, 3)
+    facets = c.facets
+    assert len(runs) == 1
+    assert facets == cones._generators(*dd(c.rays, 3))

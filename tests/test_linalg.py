@@ -16,11 +16,12 @@ from gptlab.linalg import (
     rank,
     rat,
     solve_affine,
-    transpose,
     vec,
     vec_add,
     vec_scale,
 )
+
+from helpers import transpose
 
 T_SPEKKENS = mat(
     [
