@@ -116,8 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # a parser is cyclic garbage once dropped; dropping it before the command
+    # runs lets a young collection free it instead of the oldest generation
+    args = build_parser().parse_args(argv)
 
     if args.command == "examples":
         if args.examples_command == "list":

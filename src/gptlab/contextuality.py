@@ -49,7 +49,6 @@ from .linalg import (
     outer,
     rank,
     solve_affine,
-    solve_linear,
     vec_scale,
     vec_sum,
     zeros,
@@ -505,8 +504,13 @@ def embed_exact_dim(g: Gpt) -> ExactDimSearch:
     and the effect frame its exact dual basis with the frame-sum condition,
     so candidates are dimension-sized subsets of (a) extreme rays of the
     dual of the state cone for the effect side, then (b) extreme points of
-    the maximal state set for the state side.  The first verified hit in
-    deterministic order is returned.
+    the maximal state set for the state side.  Each candidate costs one
+    `dual_basis`, and a dependent subset is skipped when it raises
+    `SingularBasisError`.  On the effect side the dual vectors f_i of the
+    chosen rays h_i give both the unique scalings s_i = <f_i, unit> with
+    sum_i s_i h_i = unit, which must be positive, and the state frame
+    f_i / s_i; on the state side they are the effect frame.  The first
+    verified hit in deterministic order is returned.
     """
     require_valid(g)
     dim = g.dim
@@ -519,14 +523,15 @@ def embed_exact_dim(g: Gpt) -> ExactDimSearch:
     for subset in combinations(range(len(effect_candidates)), dim):
         explored += 1
         chosen = [effect_candidates[i] for i in subset]
-        scaling = _positive_frame_scaling(chosen, g.unit)
-        if scaling is None:
-            continue
-        effect_frame = tuple(vec_scale(s, h) for s, h in zip(scaling, chosen))
         try:
-            state_frame = dual_basis(effect_frame)
+            duals = dual_basis(chosen)
         except SingularBasisError:
             continue
+        scaling = [inner(f, g.unit) for f in duals]
+        if any(s <= 0 for s in scaling):
+            continue
+        effect_frame = tuple(vec_scale(s, h) for s, h in zip(scaling, chosen))
+        state_frame = tuple(vec_scale(1 / s, f) for s, f in zip(scaling, duals))
         if all(all(inner(e, d) >= 0 for e in effect_gens) for d in state_frame):
             model = OntModel(state_frame=state_frame, effect_frame=effect_frame)
             if verify_ncom(model, g).ok:
@@ -536,31 +541,16 @@ def embed_exact_dim(g: Gpt) -> ExactDimSearch:
     for subset in combinations(range(len(state_candidates)), dim):
         explored += 1
         chosen_states = tuple(state_candidates[i] for i in subset)
-        if rank(mat(chosen_states)) != dim:
+        try:
+            effect_frame = dual_basis(chosen_states)
+        except SingularBasisError:
             continue
-        effect_frame = dual_basis(chosen_states)
         if all(all(inner(s, f) >= 0 for s in state_gens) for f in effect_frame):
             model = OntModel(state_frame=chosen_states, effect_frame=effect_frame)
             if verify_ncom(model, g).ok:
                 return ExactDimSearch(model=model, explored=explored, caveat="")
 
     return ExactDimSearch(model=None, explored=explored, caveat=NONE_FOUND_CAVEAT)
-
-
-def _positive_frame_scaling(rays: Sequence[Vec], unit: Vec) -> tuple[Fraction, ...] | None:
-    """Unique strictly positive scalings making the rays sum to the unit,
-    or None (also when the rays are dependent, where no frame arises)."""
-    dim = len(unit)
-    rows = tuple(tuple(r[i] for r in rays) for i in range(dim))
-    solved = solve_linear(rows, unit)
-    if solved is None:
-        return None
-    particular, basis = solved
-    if basis:
-        return None
-    if any(c <= 0 for c in particular):
-        return None
-    return particular
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,18 @@ tuples of row vectors.  No floating point enters anywhere: every verdict
 downstream is an exact geometric fact, so a single rounding step would make
 nonexistence results meaningless.
 
-Rank uses fraction-free (Bareiss) elimination on denominator-cleared rows;
-solving, null spaces and dual bases go through a plain Gauss-Jordan
-reduction over Fractions.  Both are exact; the dimensions this library
-targets (ambient dim <= 10) keep the intermediate entries small either way.
+Every elimination is one fraction-free Gauss-Jordan step, `pivot`
+(Bareiss 1968), applied to denominator-cleared integer rows that share one
+common denominator.  Rank, null spaces, linear solves and dual bases read
+their answers off one such reduction, and the exact LP in `lp` pivots its
+tableau with the same step; Fractions appear only at the API boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import DimensionMismatch, InputError
@@ -169,65 +170,68 @@ def normalize_sign(v: Vec) -> Vec:
 # elimination
 
 
-def _cleared_int_rows(m: Mat) -> list[list[int]]:
+def pivot(rows: list[list[int]], r: int, c: int, det: int) -> int:
+    """One fraction-free Gauss-Jordan step (Bareiss 1968) on integer rows.
+
+    Every row other than r becomes (row * p - row[c] * rows[r]) // det,
+    where p = rows[r][c] != 0, and row r is left as it is.  The division is
+    exact while the rows are det * B^-1 M, up to their order, for an integer
+    matrix M and its basis B of pivoted columns with det = +-det(B)
+    (Edmonds' invariant: every entry is a minor of M).  Rows = M with
+    det = 1 satisfy it, and each step keeps it.  Returns p, the common
+    denominator of the rows after the step.
+    """
+    prow = rows[r]
+    p = prow[c]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[c]
+            rows[i] = [(x * p - f * y) // det for x, y in zip(row, prow)]
+    return p
+
+
+def _echelon(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan reduction: (R, pivot columns, d) with R an
+    integer matrix and R / d the reduced row echelon form of m."""
     rows = []
-    for row in m:
-        denom_lcm = 1
-        for x in row:
-            denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-        rows.append([int(x * denom_lcm) for x in row])
-    return rows
+    for row in m:  # each row times the lcm of its denominators
+        scale = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
+    pivots: list[int] = []
+    det = 1
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        i = next((k for k in range(r, len(rows)) if rows[k][c] != 0), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        det = pivot(rows, r, c, det)
+        pivots.append(c)
+        if len(pivots) == len(rows):
+            break
+    return rows, pivots, det
+
+
+def _null_basis(rows: list[list[int]], pivots: list[int], ncols: int, det: int) -> tuple[Vec, ...]:
+    """The canonically signed null basis read off an `_echelon` result whose
+    first ncols columns are the matrix; one vector per free column."""
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = det
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f]
+        basis.append(normalize_sign(tuple(v)))
+    return tuple(basis)
 
 
 def rank(m: Mat) -> int:
-    """Exact rank via fraction-free (Bareiss) elimination."""
+    """Exact rank: the number of pivots of the fraction-free reduction."""
     if not m:
         raise InputError("rank of an empty matrix is undefined")
-    rows = _cleared_int_rows(m)
-    ncols = len(rows[0])
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(r + 1, len(rows)):
-            head = rows[i][c]
-            for j in range(c + 1, ncols):
-                rows[i][j] = (rows[i][j] * rows[r][c] - head * rows[r][j]) // prev
-            rows[i][c] = 0
-        prev = rows[r][c]
-        r += 1
-        if r == len(rows):
-            break
-    return r
-
-
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Fractions; returns (rows, pivot columns)."""
-    m = [list(row) for row in rows]
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+    return len(_echelon(m)[1])
 
 
 def null_space(m: Mat) -> tuple[Vec, ...]:
@@ -237,17 +241,8 @@ def null_space(m: Mat) -> tuple[Vec, ...]:
     """
     if not m:
         raise InputError("null space of an empty matrix is undefined")
-    reduced, pivots = rref(m)
-    ncols = len(m[0])
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free_cols:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for row_idx, p in enumerate(pivots):
-            v[p] = -reduced[row_idx][f]
-        basis.append(normalize_sign(tuple(v)))
-    return tuple(basis)
+    rows, pivots, det = _echelon(m)
+    return _null_basis(rows, pivots, len(m[0]), det)
 
 
 def solve_linear(a: Mat, b: Vec) -> tuple[Vec, tuple[Vec, ...]] | None:
@@ -257,15 +252,14 @@ def solve_linear(a: Mat, b: Vec) -> tuple[Vec, tuple[Vec, ...]] | None:
     """
     if len(a) != len(b):
         raise DimensionMismatch(len(a), len(b), "linear system")
-    augmented = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    reduced, pivots = rref(augmented)
+    rows, pivots, det = _echelon([tuple(row) + (rhs,) for row, rhs in zip(a, b)])
     ncols = len(a[0])
     if ncols in pivots:
         return None  # a pivot in the rhs column: inconsistent
     particular = [Fraction(0)] * ncols
-    for row_idx, p in enumerate(pivots):
-        particular[p] = reduced[row_idx][-1]
-    return tuple(particular), null_space(a)
+    for row, p in zip(rows, pivots):
+        particular[p] = Fraction(row[-1], det)
+    return tuple(particular), _null_basis(rows, pivots, ncols, det)
 
 
 @dataclass(frozen=True)
@@ -330,16 +324,15 @@ def dual_basis(basis: Sequence[Vec]) -> tuple[Vec, ...]:
     """The unique vectors f_i with <f_i, b_j> = delta_ij, exactly.
 
     Input must be a linearly independent spanning set (square, full rank).
+    One reduction of [B | I] gives both the rank of B (its pivots among B's
+    columns) and B^-1, whose columns are the dual vectors.
     """
     n = len(basis)
     if n == 0 or any(len(b) != n for b in basis):
         raise SingularBasisError(n, 0 if n == 0 else rank(mat(basis)))
-    m = mat(basis)
-    if rank(m) != n:
-        raise SingularBasisError(n, rank(m))
-    augmented = [list(row) + list(basis_vec(i, n)) for i, row in enumerate(m)]
-    reduced, pivots = rref(augmented)
-    assert pivots == list(range(n))
-    inverse_rows = [row[n:] for row in reduced]
-    # columns of B^-1 are the dual vectors
-    return tuple(tuple(inverse_rows[i][j] for i in range(n)) for j in range(n))
+    augmented = [tuple(row) + basis_vec(i, n) for i, row in enumerate(basis)]
+    rows, pivots, det = _echelon(augmented)
+    found = sum(1 for p in pivots if p < n)
+    if found != n:
+        raise SingularBasisError(n, found)
+    return tuple(tuple(Fraction(rows[i][n + j], det) for i in range(n)) for j in range(n))

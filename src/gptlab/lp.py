@@ -3,20 +3,25 @@
 Everything geometric downstream (membership certificates, simplex
 embeddings, interior functionals) reduces to one question: does
 { x >= 0 : A x = b } contain a point?  This module answers it with a
-primal Phase-I simplex over Fractions using Bland's rule, which terminates
-without cycling and needs no tolerance parameter.  Infeasibility comes with
-an exact Farkas vector y satisfying <y, col> <= 0 for every column of A and
-<y, b> > 0; both branches are re-verified before being returned.
+primal Phase-I simplex using Bland's rule, which terminates without cycling
+and needs no tolerance parameter.  The tableau is an integer matrix over
+one positive common denominator, the basis determinant, pivoted
+fraction-free by `linalg.pivot` (integer pivoting as in Avis's lrs);
+Fractions appear only in the returned point or certificate.  Infeasibility
+comes with an exact Farkas vector y satisfying <y, col> <= 0 for every
+column of A and <y, b> > 0; both branches are re-verified before being
+returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Sequence
 
 from .errors import DimensionMismatch, InternalCheckError
-from .linalg import Vec, inner, vec_sub
+from .linalg import Vec, inner, pivot, vec_sub
 
 
 @dataclass(frozen=True)
@@ -45,61 +50,55 @@ def solve_feasibility(columns: Sequence[Vec], b: Vec) -> Feasible | Infeasible:
             raise DimensionMismatch(m, len(col), "LP column")
     n = len(columns)
 
-    # rows with negative rhs are flipped so artificials start feasible
-    flip = [b_i < 0 for b_i in b]
+    # Rows with negative rhs are flipped so artificials start feasible.  Row
+    # i is cleared by the lcm l_i of its denominators and scaled to det =
+    # prod(l_i), so the rows are det(B) * B^-1 M for the artificial basis B
+    # of the cleared matrix M and `pivot` divides exactly.  Ratio-test
+    # pivots are positive: det stays positive and keeps every sign.
+    rows = [
+        [-c[i] if b_i < 0 else c[i] for c in columns] + [abs(b_i)] for i, b_i in enumerate(b)
+    ]
+    det = prod(lcm(*(x.denominator for x in row)) for row in rows)
     tableau = []
-    for i in range(m):
-        sign = Fraction(-1) if flip[i] else Fraction(1)
-        row = [sign * columns[j][i] for j in range(n)]
-        row.extend(Fraction(1) if k == i else Fraction(0) for k in range(m))
-        row.append(sign * b[i])
-        tableau.append(row)
+    for i, row in enumerate(rows):
+        ints = [x.numerator * (det // x.denominator) for x in row]
+        tableau.append(ints[:n] + [det if k == i else 0 for k in range(m)] + ints[n:])
+    # reduced costs for minimising the artificial sum, times det; the last
+    # entry is -det * (objective value)
+    obj = [-sum(row[j] for row in tableau) for j in range(n + m + 1)]
+    obj[n : n + m] = [0] * m
+    tableau.append(obj)
     basis = [n + i for i in range(m)]
 
-    # reduced costs for minimising the artificial sum; start with c_B = 1
-    width = n + m + 1
-    obj = [Fraction(0)] * width
-    for j in range(width):
-        s = sum((tableau[i][j] for i in range(m)), Fraction(0))
-        obj[j] = (Fraction(0) if j < n else Fraction(1) if j < n + m else Fraction(0)) - s
-    # obj[-1] currently holds -(objective value)
-
     while True:
+        obj = tableau[m]
         entering = next((j for j in range(n + m) if obj[j] < 0), None)
         if entering is None:
             break
         pivot_row = None
-        best = None
         for i in range(m):
             coef = tableau[i][entering]
             if coef > 0:
-                ratio = tableau[i][-1] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[pivot_row]):
-                    best = ratio
+                if pivot_row is None:
+                    pivot_row = i
+                    continue
+                # compare rhs_i / coef with the best ratio, cross-multiplied
+                here = tableau[i][-1] * tableau[pivot_row][entering]
+                best = tableau[pivot_row][-1] * coef
+                if here < best or (here == best and basis[i] < basis[pivot_row]):
                     pivot_row = i
         if pivot_row is None:
             raise InternalCheckError("phase-I objective unbounded; tableau corrupted")
-        # sparse update: only the columns where the pivot row is nonzero change
-        prow = tableau[pivot_row]
-        piv = prow[entering]
-        support = [j for j, x in enumerate(prow) if x != 0]
-        for j in support:
-            prow[j] /= piv
-        for row in tableau + [obj]:
-            f = row[entering]
-            if row is not prow and f != 0:
-                for j in support:
-                    row[j] -= f * prow[j]
+        det = pivot(tableau, pivot_row, entering, det)
         basis[pivot_row] = entering
 
-    objective = -obj[-1]
-    if objective > 0:
+    obj = tableau[m]
+    if obj[-1] < 0:
         # y_i = 1 - reduced cost of artificial i, mapped back through row flips
-        y = []
-        for i in range(m):
-            y_i = Fraction(1) - obj[n + i]
-            y.append(-y_i if flip[i] else y_i)
-        y_t = tuple(y)
+        y_t = tuple(
+            Fraction(obj[n + i] - det if b_i < 0 else det - obj[n + i], det)
+            for i, b_i in enumerate(b)
+        )
         for col in columns:
             if inner(y_t, col) > 0:
                 raise InternalCheckError("Farkas certificate fails on a column")
@@ -110,7 +109,7 @@ def solve_feasibility(columns: Sequence[Vec], b: Vec) -> Feasible | Infeasible:
     x = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = tableau[i][-1]
+            x[var] = Fraction(tableau[i][-1], det)
     x_t = tuple(x)
     residual = vec_sub(b, tuple(sum((x_t[j] * columns[j][i] for j in range(n)), Fraction(0)) for i in range(m)))
     if any(r != 0 for r in residual) or any(c < 0 for c in x_t):

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .cones import cone_from_rays, member_cone
 from .contextuality import (
     NonUniqueDecomposition,
+    SubtheoryRejected,
     classify,
     interior_state_functional,
     nonunique_decomposition,
@@ -72,13 +73,15 @@ class ResourceVerdict:
 
 
 def _require_classical_host(g: Gpt) -> None:
-    require_valid(g)
-    if not no_restriction_check(g).holds:
+    """One `classify` call: it validates g and checks no-restriction."""
+    try:
+        noncontextual = classify(g).noncontextual
+    except SubtheoryRejected:
         raise InputError(
             "the host theory must satisfy the no-restriction property before "
             "a bonus element can be classified"
-        )
-    if not classify(g).noncontextual:
+        ) from None
+    if not noncontextual:
         raise InputError(
             "the host theory is already ontologically contextual; bonus "
             "classification presumes a classical (simplicial) free theory"
@@ -95,6 +98,11 @@ def extend_theory(g: Gpt, b: BonusElement) -> ExtensionOutcome:
     are reported as expelled, with no guess at their operational fate.
     """
     _require_classical_host(g)
+    return _extend(g, b)
+
+
+def _extend(g: Gpt, b: BonusElement) -> ExtensionOutcome:
+    """`extend_theory` on a host that has passed `_require_classical_host`."""
     if len(b.vector) != g.dim:
         raise InputError(
             f"bonus element {b.label!r} has dimension {len(b.vector)}, theory has {g.dim}; "
@@ -196,7 +204,7 @@ def classify_bonus(g: Gpt, b: BonusElement) -> ResourceVerdict:
             witness=None,
         )
 
-    outcome = extend_theory(g, b)
+    outcome = _extend(g, b)
     extended = outcome.theory
     warnings = list(outcome.warnings)
 

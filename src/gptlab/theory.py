@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import cones
-from .cones import Cone, cone_from_rays, contains, dual_cone, member_cone, member_convex
+from .cones import Cone, cone_from_rays, contains, dual_cone, member_cone
 from .errors import DimensionMismatch, InputError, InternalCheckError, TheoryConsistencyError
 from .linalg import (
     Mat,
@@ -236,7 +236,10 @@ def in_effect_set(g: Gpt, e: Vec) -> bool:
 
 
 def in_state_set(g: Gpt, s: Vec) -> bool:
-    return member_convex(s, g.state_vectors).inside
+    """State-set membership: normalised and in the state cone, by facet
+    signs.  g must be valid (callers run `require_valid`), so every state
+    generator has <unit, s> = 1 and the state set is the cone's unit slice."""
+    return inner(g.unit, s) == 1 and contains(state_cone(g), s)
 
 
 # ---------------------------------------------------------------------------

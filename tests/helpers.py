@@ -1,6 +1,7 @@
 """Shared test utilities: independent brute-force oracles, the LP
-definitions the double-description decisions are checked against, helpers
-only tests use, and seeded random instance generators.
+definitions the double-description decisions are checked against, the
+Fraction eliminations the integer kernel is checked against, helpers only
+tests use, and seeded random instance generators.
 
 The oracles deliberately avoid the library's own algorithms: vertex
 enumeration goes through exhaustive tight-constraint subsets and plain
@@ -10,13 +11,28 @@ implementation that shares no code path with them.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 from random import Random
+from unittest.mock import patch
 
-from gptlab import lp
+from gptlab import linalg, lp
 from gptlab.cones import Cone, member_cone, member_convex
-from gptlab.linalg import Mat, Vec, inner, integerize, mat, null_space, rank, vec_add, vec_scale, zeros
+from gptlab.linalg import (
+    Mat,
+    Vec,
+    basis_vec,
+    inner,
+    integerize,
+    mat,
+    normalize_sign,
+    null_space,
+    rank,
+    vec_add,
+    vec_scale,
+    zeros,
+)
 from gptlab.theory import (
     Gpt,
     build_gpt,
@@ -99,33 +115,145 @@ def lp_no_restriction_gaps(g: Gpt):
     return states, effects
 
 
-def _solve_square(rows, rhs):
-    """Plain Gauss-Jordan; returns the unique solution or None."""
-    n = len(rows[0])
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    piv_rows = []
+# ---------------------------------------------------------------------------
+# Fraction references for the integer elimination kernel: the Gauss-Jordan
+# and Phase-I simplex that `linalg.pivot` replaced, kept to compare against
+
+
+def reference_rref(rows):
+    """Reduced row echelon form over Fractions; returns (rows, pivot columns)."""
+    m = [list(row) for row in rows]
+    if not m:
+        return m, []
+    ncols = len(m[0])
+    pivots = []
     r = 0
-    for c in range(n):
-        p = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if p is None:
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
             continue
-        m[r], m[p] = m[p], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        piv_rows.append(c)
+        pivots.append(c)
         r += 1
-    for i in range(r, len(m)):
-        if m[i][-1] != 0:
-            return None
-    if len(piv_rows) < n:
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def reference_null_space(m):
+    reduced, pivots = reference_rref(m)
+    ncols = len(m[0])
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row_idx, p in enumerate(pivots):
+            v[p] = -reduced[row_idx][f]
+        basis.append(normalize_sign(tuple(v)))
+    return tuple(basis)
+
+
+def reference_solve_linear(a, b):
+    reduced, pivots = reference_rref([list(row) + [rhs] for row, rhs in zip(a, b)])
+    ncols = len(a[0])
+    if ncols in pivots:
         return None
+    particular = [Fraction(0)] * ncols
+    for row_idx, p in enumerate(pivots):
+        particular[p] = reduced[row_idx][-1]
+    return tuple(particular), reference_null_space(a)
+
+
+def reference_dual_basis(basis):
+    """Columns of B^-1, or None when B is singular."""
+    n = len(basis)
+    reduced, pivots = reference_rref([list(row) + list(basis_vec(i, n)) for i, row in enumerate(basis)])
+    if pivots[:n] != list(range(n)):
+        return None
+    return tuple(tuple(reduced[i][n + j] for i in range(n)) for j in range(n))
+
+
+def reference_solve_feasibility(columns, b):
+    """Phase-I simplex over Fractions with Bland's rule: ("x", x) or
+    ("farkas", y), pivot for pivot the rule `lp.solve_feasibility` follows."""
+    m = len(b)
+    n = len(columns)
+    flip = [b_i < 0 for b_i in b]
+    tableau = []
+    for i in range(m):
+        sign = Fraction(-1) if flip[i] else Fraction(1)
+        row = [sign * columns[j][i] for j in range(n)]
+        row.extend(Fraction(1) if k == i else Fraction(0) for k in range(m))
+        row.append(sign * b[i])
+        tableau.append(row)
+    basis = [n + i for i in range(m)]
+    width = n + m + 1
+    obj = [Fraction(0)] * width
+    for j in range(width):
+        s = sum((tableau[i][j] for i in range(m)), Fraction(0))
+        obj[j] = (Fraction(1) if n <= j < n + m else Fraction(0)) - s
+    while True:
+        entering = next((j for j in range(n + m) if obj[j] < 0), None)
+        if entering is None:
+            break
+        pivot_row = None
+        best = None
+        for i in range(m):
+            coef = tableau[i][entering]
+            if coef > 0:
+                ratio = tableau[i][-1] / coef
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[pivot_row]):
+                    best = ratio
+                    pivot_row = i
+        prow = tableau[pivot_row]
+        piv = prow[entering]
+        tableau[pivot_row] = prow = [x / piv for x in prow]
+        for row in tableau + [obj]:
+            f = row[entering]
+            if row is not prow and f != 0:
+                row[:] = [a - f * c for a, c in zip(row, prow)]
+        basis[pivot_row] = entering
+    if obj[-1] < 0:
+        y = [Fraction(1) - obj[n + i] for i in range(m)]
+        return "farkas", tuple(-y_i if f else y_i for y_i, f in zip(y, flip))
     x = [Fraction(0)] * n
-    for i, c in enumerate(piv_rows):
-        x[c] = m[i][-1]
-    return tuple(x)
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = tableau[i][-1]
+    return "x", tuple(x)
+
+
+@contextmanager
+def checked_pivot():
+    """Run `linalg.pivot`, also where `lp` calls it, with an assertion that
+    every division it makes is exact."""
+
+    def checked(rows, r, c, det):
+        prow = rows[r]
+        for row in rows:
+            if row is not prow:
+                for x, y in zip(row, prow):
+                    assert (x * prow[c] - row[c] * y) % det == 0
+        return plain(rows, r, c, det)
+
+    plain = linalg.pivot
+    with patch.object(linalg, "pivot", checked), patch.object(lp, "pivot", checked):
+        yield
+
+
+def _solve_square(rows, rhs):
+    """Plain Gauss-Jordan; returns the unique solution or None."""
+    n = len(rows[0])
+    m, pivots = reference_rref([[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)])
+    if pivots != list(range(n)):
+        return None
+    return tuple(m[i][-1] for i in range(n))
 
 
 def brute_force_slice_vertices(ineq_normals, unit, dim):

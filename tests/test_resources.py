@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from random import Random
 
@@ -117,13 +118,22 @@ def test_emptying_bonus_rejected(trit):
     assert expansion and tuple(total) == vec(-1, -1, -1)
 
 
+CONTEXTUAL_HOST = (
+    "the host theory is already ontologically contextual; bonus "
+    "classification presumes a classical (simplicial) free theory"
+)
+RESTRICTED_HOST = (
+    "the host theory must satisfy the no-restriction property before "
+    "a bonus element can be classified"
+)
+
+
 def test_classify_bonus_requires_classical_host():
-    completed = catalog.get("rebit_completion")
-    with pytest.raises(InputError):
-        classify_bonus(completed, BonusElement("effect", "b", vec(0, 0, 1)))
-    restricted = catalog.get("rebit")
-    with pytest.raises(InputError):
-        classify_bonus(restricted, BonusElement("effect", "b", vec(0, 0, 1)))
+    b = BonusElement("effect", "b", vec(0, 0, 1))
+    for host, message in (("rebit_completion", CONTEXTUAL_HOST), ("rebit", RESTRICTED_HOST)):
+        for extend in (classify_bonus, extend_theory):
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                extend(catalog.get(host), b)
 
 
 def test_bonus_state_requires_normalisation(trit):
