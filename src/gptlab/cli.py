@@ -8,6 +8,7 @@ verdict), 1 on input errors, 2 on internal invariant failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -55,6 +56,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gptlab",
@@ -116,8 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    # a parser is cyclic garbage once dropped; dropping it before the command
-    # runs lets a young collection free it instead of the oldest generation
     args = build_parser().parse_args(argv)
 
     if args.command == "examples":

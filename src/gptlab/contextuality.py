@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Sequence
 
 from . import lp
@@ -40,6 +41,9 @@ from .linalg import (
     Mat,
     Vec,
     SingularBasisError,
+    _clear,
+    _fraction_columns,
+    _inverse_columns,
     dual_basis,
     format_vec,
     identity,
@@ -122,23 +126,20 @@ def verify_ncom(m: OntModel, g: Gpt) -> NcomReport:
     if tuple(tuple(row) for row in recon) != identity(g.dim):
         violations.append("frames do not reconstruct the identity")
 
-    for s_label, s in g.states():
-        for i, f in enumerate(m.effect_frame):
-            if inner(s, f) < 0:
+    states = [(s_label, s, [inner(s, f) for f in m.effect_frame]) for s_label, s in g.states()]
+    effects = [(e_label, e, m.response_function(e)) for e_label, e in g.effects()]
+    for s_label, _, weights in states:
+        for i, w in enumerate(weights):
+            if w < 0:
                 violations.append(f"ontic weight of {s_label} at {i} is negative")
-    for e_label, e in g.effects():
-        for i, d in enumerate(m.state_frame):
-            val = inner(e, d)
+    for e_label, _, responses in effects:
+        for i, val in enumerate(responses):
             if val < 0 or val > 1:
                 violations.append(f"response of {e_label} at {i} is {val}, outside [0, 1]")
 
-    for e_label, e in g.effects():
-        for s_label, s in g.states():
-            lhs = sum(
-                (inner(s, f) * inner(e, d) for d, f in zip(m.state_frame, m.effect_frame)),
-                Fraction(0),
-            )
-            if lhs != inner(e, s):
+    for e_label, e, responses in effects:
+        for s_label, s, weights in states:
+            if inner(weights, responses) != inner(e, s):
                 violations.append(f"statistics broken for ({e_label}, {s_label})")
 
     if n > g.dim:
@@ -505,34 +506,39 @@ def embed_exact_dim(g: Gpt) -> ExactDimSearch:
     so candidates are dimension-sized subsets of (a) extreme rays of the
     dual of the state cone for the effect side, then (b) extreme points of
     the maximal state set for the state side.  Each candidate costs one
-    `dual_basis`, and a dependent subset is skipped when it raises
-    `SingularBasisError`.  On the effect side the dual vectors f_i of the
-    chosen rays h_i give both the unique scalings s_i = <f_i, unit> with
-    sum_i s_i h_i = unit, which must be positive, and the state frame
-    f_i / s_i; on the state side they are the effect frame.  The first
-    verified hit in deterministic order is returned.
+    integer inversion (`linalg._inverse_columns`: the dual vectors f_i as
+    integer columns c_i over one denominator d > 0), and a dependent subset
+    is skipped when it raises `SingularBasisError`.
+
+    The candidate is screened on integers, against the unit and the
+    generators cleared of denominators once: on the effect side the unique
+    scalings s_i = <f_i, unit> with sum_i s_i h_i = unit must be positive
+    and every effect must be nonnegative on the state frame f_i / s_i, that
+    is <e, c_i> >= 0; on the state side every state must be nonnegative on
+    the effect frame f_i, that is <s, c_i> >= 0.  Only a candidate that
+    passes gets Fraction frames, which `verify_ncom` then checks in full.
+    The first verified hit in deterministic order is returned.
     """
     require_valid(g)
     dim = g.dim
     explored = 0
+    unit = _clear(g.unit)
+    effect_gens = [_clear(e) for e in g.effect_vectors]
+    state_gens = [_clear(s) for s in g.state_vectors]
 
     effect_candidates = _ordered_rays(max_effect_rays(g))
-    state_gens = g.state_vectors
-    effect_gens = g.effect_vectors
-
     for subset in combinations(range(len(effect_candidates)), dim):
         explored += 1
         chosen = [effect_candidates[i] for i in subset]
         try:
-            duals = dual_basis(chosen)
+            columns, det = _inverse_columns(chosen)
         except SingularBasisError:
             continue
-        scaling = [inner(f, g.unit) for f in duals]
-        if any(s <= 0 for s in scaling):
-            continue
-        effect_frame = tuple(vec_scale(s, h) for s, h in zip(scaling, chosen))
-        state_frame = tuple(vec_scale(1 / s, f) for s, f in zip(scaling, duals))
-        if all(all(inner(e, d) >= 0 for e in effect_gens) for d in state_frame):
+        if all(_dot(c, unit) > 0 for c in columns) and _nonnegative(effect_gens, columns):
+            duals = _fraction_columns(columns, det)
+            scaling = [inner(f, g.unit) for f in duals]
+            effect_frame = tuple(vec_scale(s, h) for s, h in zip(scaling, chosen))
+            state_frame = tuple(vec_scale(1 / s, f) for s, f in zip(scaling, duals))
             model = OntModel(state_frame=state_frame, effect_frame=effect_frame)
             if verify_ncom(model, g).ok:
                 return ExactDimSearch(model=model, explored=explored, caveat="")
@@ -542,15 +548,23 @@ def embed_exact_dim(g: Gpt) -> ExactDimSearch:
         explored += 1
         chosen_states = tuple(state_candidates[i] for i in subset)
         try:
-            effect_frame = dual_basis(chosen_states)
+            columns, det = _inverse_columns(chosen_states)
         except SingularBasisError:
             continue
-        if all(all(inner(s, f) >= 0 for s in state_gens) for f in effect_frame):
-            model = OntModel(state_frame=chosen_states, effect_frame=effect_frame)
+        if _nonnegative(state_gens, columns):
+            model = OntModel(state_frame=chosen_states, effect_frame=_fraction_columns(columns, det))
             if verify_ncom(model, g).ok:
                 return ExactDimSearch(model=model, explored=explored, caveat="")
 
     return ExactDimSearch(model=None, explored=explored, caveat=NONE_FOUND_CAVEAT)
+
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, a, b))
+
+
+def _nonnegative(gens: Sequence[Sequence[int]], columns: Sequence[Sequence[int]]) -> bool:
+    return all(_dot(x, c) >= 0 for c in columns for x in gens)
 
 
 # ---------------------------------------------------------------------------

@@ -190,13 +190,16 @@ def pivot(rows: list[list[int]], r: int, c: int, det: int) -> int:
     return p
 
 
-def _echelon(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int], int]:
+def _clear(row: Sequence[Fraction | int]) -> list[int]:
+    """The row times the lcm of its denominators: integers, same direction."""
+    scale = lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
+
+
+def _echelon(m: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan reduction: (R, pivot columns, d) with R an
     integer matrix and R / d the reduced row echelon form of m."""
-    rows = []
-    for row in m:  # each row times the lcm of its denominators
-        scale = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (scale // x.denominator) for x in row])
+    rows = [_clear(row) for row in m]
     pivots: list[int] = []
     det = 1
     for c in range(len(rows[0])):
@@ -320,19 +323,33 @@ class SingularBasisError(InputError):
         super().__init__(f"dual basis needs a full-rank square input: got {size} vectors of rank {actual_rank}")
 
 
-def dual_basis(basis: Sequence[Vec]) -> tuple[Vec, ...]:
-    """The unique vectors f_i with <f_i, b_j> = delta_ij, exactly.
+def _inverse_columns(basis: Sequence[Vec]) -> tuple[list[tuple[int, ...]], int]:
+    """B^-1 of the square matrix with rows `basis` as integer columns c_j
+    and one denominator d > 0: column j of B^-1 is c_j / d.
 
-    Input must be a linearly independent spanning set (square, full rank).
     One reduction of [B | I] gives both the rank of B (its pivots among B's
-    columns) and B^-1, whose columns are the dual vectors.
+    columns) and B^-1; raises SingularBasisError unless B has full rank.
     """
     n = len(basis)
     if n == 0 or any(len(b) != n for b in basis):
         raise SingularBasisError(n, 0 if n == 0 else rank(mat(basis)))
-    augmented = [tuple(row) + basis_vec(i, n) for i, row in enumerate(basis)]
+    augmented = [tuple(row) + (0,) * i + (1,) + (0,) * (n - 1 - i) for i, row in enumerate(basis)]
     rows, pivots, det = _echelon(augmented)
     found = sum(1 for p in pivots if p < n)
     if found != n:
         raise SingularBasisError(n, found)
-    return tuple(tuple(Fraction(rows[i][n + j], det) for i in range(n)) for j in range(n))
+    sign = 1 if det > 0 else -1
+    return [tuple(sign * row[n + j] for row in rows) for j in range(n)], sign * det
+
+
+def dual_basis(basis: Sequence[Vec]) -> tuple[Vec, ...]:
+    """The unique vectors f_i with <f_i, b_j> = delta_ij, exactly: the
+    columns of B^-1 (see `_inverse_columns`).
+
+    Input must be a linearly independent spanning set (square, full rank).
+    """
+    return _fraction_columns(*_inverse_columns(basis))
+
+
+def _fraction_columns(columns: Sequence[Sequence[int]], det: int) -> tuple[Vec, ...]:
+    return tuple(tuple(Fraction(x, det) for x in col) for col in columns)

@@ -1,6 +1,7 @@
 """Shared test utilities: independent brute-force oracles, the LP
 definitions the double-description decisions are checked against, the
-Fraction eliminations the integer kernel is checked against, helpers only
+Fraction eliminations and the Fraction same-dimension search the integer
+kernel and screen are checked against, helpers only
 tests use, and seeded random instance generators.
 
 The oracles deliberately avoid the library's own algorithms: vertex
@@ -19,6 +20,13 @@ from unittest.mock import patch
 
 from gptlab import linalg, lp
 from gptlab.cones import Cone, member_cone, member_convex
+from gptlab.contextuality import (
+    NONE_FOUND_CAVEAT,
+    ExactDimSearch,
+    OntModel,
+    _ordered_rays,
+    verify_ncom,
+)
 from gptlab.linalg import (
     Mat,
     Vec,
@@ -39,6 +47,7 @@ from gptlab.theory import (
     effect_cone,
     max_effect_rays,
     max_state_points,
+    require_valid,
     scale_to_effect_interval,
 )
 
@@ -177,6 +186,24 @@ def reference_dual_basis(basis):
     if pivots[:n] != list(range(n)):
         return None
     return tuple(tuple(reduced[i][n + j] for i in range(n)) for j in range(n))
+
+
+def reference_det(m):
+    """Determinant by plain Gaussian elimination over Fractions."""
+    a = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for c in range(len(a)):
+        r = next((i for i in range(c, len(a)) if a[i][c] != 0), None)
+        if r is None:
+            return Fraction(0)
+        if r != c:
+            a[c], a[r] = a[r], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, len(a)):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
 
 
 def reference_solve_feasibility(columns, b):
@@ -394,3 +421,47 @@ def random_classical_theory(rng: Random, dim: int) -> Gpt:
         claims_no_restriction=True,
         name=f"random_classical_{dim}",
     )
+
+
+# ---------------------------------------------------------------------------
+# the same-dimension search over Fractions, which the integer screen of
+# `contextuality.embed_exact_dim` replaced, kept to compare against
+
+
+def reference_embed_exact_dim(g: Gpt) -> ExactDimSearch:
+    """The same candidates in the same order, each given Fraction frames by
+    plain Gauss-Jordan (`reference_dual_basis`) and tested by Fraction inner
+    products before `verify_ncom`."""
+    require_valid(g)
+    dim = g.dim
+    explored = 0
+    effect_candidates = _ordered_rays(max_effect_rays(g))
+    for subset in combinations(range(len(effect_candidates)), dim):
+        explored += 1
+        chosen = [effect_candidates[i] for i in subset]
+        duals = reference_dual_basis(chosen)
+        if duals is None:
+            continue
+        scaling = [inner(f, g.unit) for f in duals]
+        if any(s <= 0 for s in scaling):
+            continue
+        effect_frame = tuple(vec_scale(s, h) for s, h in zip(scaling, chosen))
+        state_frame = tuple(vec_scale(1 / s, f) for s, f in zip(scaling, duals))
+        if all(all(inner(e, d) >= 0 for e in g.effect_vectors) for d in state_frame):
+            model = OntModel(state_frame=state_frame, effect_frame=effect_frame)
+            if verify_ncom(model, g).ok:
+                return ExactDimSearch(model=model, explored=explored, caveat="")
+
+    state_candidates = _ordered_rays(max_state_points(g))
+    for subset in combinations(range(len(state_candidates)), dim):
+        explored += 1
+        chosen_states = tuple(state_candidates[i] for i in subset)
+        effect_frame = reference_dual_basis(chosen_states)
+        if effect_frame is None:
+            continue
+        if all(all(inner(s, f) >= 0 for s in g.state_vectors) for f in effect_frame):
+            model = OntModel(state_frame=chosen_states, effect_frame=effect_frame)
+            if verify_ncom(model, g).ok:
+                return ExactDimSearch(model=model, explored=explored, caveat="")
+
+    return ExactDimSearch(model=None, explored=explored, caveat=NONE_FOUND_CAVEAT)

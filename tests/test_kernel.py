@@ -3,21 +3,31 @@
 `linalg.pivot` serves rank, null spaces, linear solves, dual bases and the
 LP tableau.  Each answer must equal the one plain Gauss-Jordan and the
 Fraction simplex give, pivot for pivot, and every division the kernel
-makes must be exact (`checked_pivot`).
+makes must be exact (`checked_pivot`).  The same-dimension search, which
+screens its candidates on the kernel's integer inverses, must explore and
+return exactly what the Fraction search does.
 """
 
 from fractions import Fraction
+from itertools import chain, combinations, islice
+from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gptlab import lp
-from gptlab.linalg import SingularBasisError, dual_basis, null_space, rank, solve_linear, vec
+from gptlab import catalog, lp
+from gptlab.contextuality import _ordered_rays, embed_exact_dim
+from gptlab.linalg import SingularBasisError, _inverse_columns, dual_basis, null_space, rank, solve_linear, vec
+from gptlab.theory import max_effect_rays, max_state_points
 
 from helpers import (
     checked_pivot,
+    random_pair_subgpt,
+    random_subgpt,
+    reference_det,
     reference_dual_basis,
+    reference_embed_exact_dim,
     reference_null_space,
     reference_solve_feasibility,
     reference_solve_linear,
@@ -32,6 +42,19 @@ def matrices(draw, square=False):
     rows = draw(st.integers(min_value=1, max_value=5))
     cols = rows if square else draw(st.integers(min_value=1, max_value=5))
     return tuple(tuple(draw(entries) for _ in range(cols)) for _ in range(rows))
+
+
+dense = st.builds(Fraction, st.integers(min_value=-5, max_value=5), st.integers(min_value=1, max_value=4))
+
+
+@st.composite
+def negative_bases(draw):
+    """Dense rational square matrices with det < 0."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    m = tuple(tuple(draw(dense) for _ in range(n)) for _ in range(n))
+    det = reference_det(m)
+    assume(det != 0)
+    return m if det < 0 else (tuple(-x for x in m[0]),) + m[1:]
 
 
 @st.composite
@@ -63,17 +86,49 @@ def test_solve_linear_matches_reference(a, data):
         assert solve_linear(a, b) == reference_solve_linear(a, b)
 
 
-@settings(max_examples=30, deadline=None)
-@given(matrices(square=True))
-def test_dual_basis_matches_reference(m):
+def _check_inverse(m):
+    """`_inverse_columns` and its wrapper `dual_basis` against plain
+    Gauss-Jordan: columns over a positive denominator, or the reference rank."""
     expected = reference_dual_basis(m)
     with checked_pivot():
         if expected is None:
-            with pytest.raises(SingularBasisError) as exc:
-                dual_basis(m)
-            assert exc.value.actual_rank == rank(m)
+            for invert in (_inverse_columns, dual_basis):
+                with pytest.raises(SingularBasisError) as exc:
+                    invert(m)
+                assert exc.value.actual_rank == len(m[0]) - len(reference_null_space(m))
         else:
-            assert dual_basis(m) == expected
+            columns, d = _inverse_columns(m)
+            assert d > 0 and all(type(x) is int for col in columns for x in col)
+            assert tuple(tuple(Fraction(x, d) for x in col) for col in columns) == expected == dual_basis(m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrices(square=True))
+def test_dual_basis_matches_reference(m):
+    _check_inverse(m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(negative_bases())
+def test_dual_basis_matches_reference_with_negative_determinant(m):
+    _check_inverse(m)
+
+
+@pytest.mark.parametrize(
+    "m, actual_rank",
+    [
+        ((vec(1, 2), vec(2, 4)), 1),
+        ((vec(0, 0, 0), vec(0, 0, 0), vec(0, 0, 0)), 0),
+        ((vec("1/2", 1, -1), vec(1, 0, "1/3"), vec(2, 2, "-5/3")), 2),
+        ((vec(1, 0, 0), vec(0, 1, 0)), 2),  # not square
+        ((), 0),
+    ],
+)
+def test_inverse_columns_singular_inputs_carry_the_rank(m, actual_rank):
+    for invert in (_inverse_columns, dual_basis):
+        with pytest.raises(SingularBasisError) as exc:
+            invert(m)
+        assert (exc.value.size, exc.value.actual_rank) == (len(m), actual_rank)
 
 
 @settings(max_examples=30, deadline=None)
@@ -100,3 +155,31 @@ def test_integer_lp_matches_fraction_simplex(problem):
 def test_integer_lp_matches_fraction_simplex_on_degenerate_cases(columns, b):
     with checked_pivot():
         assert _lp_answer(columns, b) == reference_solve_feasibility(columns, b)
+
+
+@pytest.mark.parametrize("name", catalog.bundled_names())
+def test_exact_dim_search_matches_reference_on_bundled_theories(name):
+    g = catalog.get(name)
+    assert embed_exact_dim(g) == reference_embed_exact_dim(g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([random_subgpt, random_pair_subgpt]), st.integers(2, 4), st.integers(0, 2**32 - 1))
+@example(random_subgpt, 4, 1)
+def test_exact_dim_search_matches_reference_on_random_theories(make, dim, seed):
+    g = make(Random(seed), dim)
+    with checked_pivot():
+        assert embed_exact_dim(g) == reference_embed_exact_dim(g)
+
+
+def test_exact_dim_search_draws_include_negative_determinants():
+    """The explicit example above explores candidate bases with det < 0,
+    whose integer inverses the kernel has to bring to a positive denominator."""
+    g = random_subgpt(Random(1), 4)
+    search = embed_exact_dim(g)
+    candidates = chain(
+        combinations(_ordered_rays(max_effect_rays(g)), g.dim),
+        combinations(_ordered_rays(max_state_points(g)), g.dim),
+    )
+    dets = [reference_det(b) for b in islice(candidates, search.explored)]
+    assert search.explored > 1 and min(dets) < 0 < max(dets)
