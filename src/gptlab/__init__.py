@@ -26,6 +26,7 @@ from .contextuality import (
     SubtheoryRejected,
     build_ncom,
     classify,
+    decomposition_witness,
     embed_exact_dim,
     embed_lp,
     indistinguishability_witness,

@@ -13,12 +13,11 @@ from .cones import cone_from_rays, is_simplicial, member_cone, member_convex
 from .contextuality import (
     OntModel,
     classify,
+    decomposition_witness,
     embed_exact_dim,
     embed_lp,
     indistinguishability_witness,
-    interior_state_functional,
     model_dimension_bound,
-    nonunique_decomposition,
     verify_ncom,
 )
 from .errors import InputError, InternalCheckError
@@ -35,8 +34,6 @@ from .theory import (
     max_state_points,
     min_model_dimension,
     no_restriction_check,
-    nonrefinable_effects,
-    pure_states,
     theory_table,
     validate,
 )
@@ -328,17 +325,11 @@ def witness_report(g: Gpt, kind: str) -> Report:
         return report
     if kind == "lemma2":
         s = report.section("nonunique_decomposition")
-        pure = pure_states(g)
-        witness = nonunique_decomposition(pure, g.unit)
-        side = "states"
-        if witness is None:
-            witness = nonunique_decomposition(
-                nonrefinable_effects(g), interior_state_functional(g)
-            )
-            side = "effects"
-        if witness is None:
+        found = decomposition_witness(g)
+        if found is None:
             s.add("witness", "none: both extremal families have unique decompositions")
             return report
+        side, witness = found
         s.add("side", side)
         _witness_entries(report, s, witness)
         if not g.claims_no_restriction:

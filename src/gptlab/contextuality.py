@@ -57,7 +57,6 @@ from .linalg import (
     vec_sum,
     zeros,
 )
-from .lp import find_uniform_positive_functional
 from .theory import (
     Gpt,
     max_effect_rays,
@@ -252,15 +251,25 @@ def nonunique_decomposition(
 
 
 def interior_state_functional(g: Gpt) -> Vec:
-    """A functional strictly positive on every effect generator, found by
-    exact LP; used to put effect families onto an affine slice."""
-    u = find_uniform_positive_functional(g.effect_vectors, g.dim)
-    if u is None:
-        raise InternalCheckError(
-            "no strictly positive functional on the effect generators; "
-            "the effect cone of a valid theory must be pointed"
-        )
-    return u
+    """The barycentre of the state generators, used to put effect families
+    onto an affine slice: an effect's weight there is its probability at
+    the barycentric state.  In a valid theory it is strictly positive on
+    every nonzero effect, because effects are nonnegative on the states and
+    the states span the space."""
+    return vec_scale(Fraction(1, len(g.state_vectors)), vec_sum(g.state_vectors, g.dim))
+
+
+def decomposition_witness(g: Gpt) -> tuple[str, NonUniqueDecomposition] | None:
+    """A non-unique decomposition over the pure states (on the slice of the
+    unit) or else over the nonrefinable effects (on the barycentric slice),
+    with its side; None when both families decompose uniquely."""
+    witness = nonunique_decomposition(pure_states(g), g.unit)
+    if witness is not None:
+        return "states", witness
+    witness = nonunique_decomposition(nonrefinable_effects(g), interior_state_functional(g))
+    if witness is not None:
+        return "effects", witness
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -315,16 +324,10 @@ def classify(g: Gpt) -> ContextualityVerdict:
             states_simplicial=True,
             effects_simplicial=True,
         )
-    if not s_simp:
-        witness = nonunique_decomposition(pure, g.unit)
-        side = "states"
-    else:
-        witness = nonunique_decomposition(atoms, interior_state_functional(g))
-        side = "effects"
-    if witness is None:
-        raise InternalCheckError(
-            f"non-simplicial {side} family produced no decomposition witness"
-        )
+    found = decomposition_witness(g)
+    if found is None:
+        raise InternalCheckError("non-simplicial family produced no decomposition witness")
+    side, witness = found
     return ContextualityVerdict(
         noncontextual=False,
         model=None,

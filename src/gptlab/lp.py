@@ -1,10 +1,10 @@
 """Exact-rational feasibility LP.
 
-Everything geometric downstream (membership certificates, simplex
-embeddings, interior functionals) reduces to one question: does
-{ x >= 0 : A x = b } contain a point?  This module answers it with a
-primal Phase-I simplex using Bland's rule, which terminates without cycling
-and needs no tolerance parameter.  The tableau is an integer matrix over
+Membership certificates, simplex embeddings and the generator reduction
+of cones with lines reduce to one question: does { x >= 0 : A x = b }
+contain a point?  This module answers it with a primal Phase-I simplex
+using Bland's rule, which terminates without cycling and needs no
+tolerance parameter.  The tableau is an integer matrix over
 one positive common denominator, the basis determinant, pivoted
 fraction-free by `linalg.pivot` (integer pivoting as in Avis's lrs);
 Fractions appear only in the returned point or certificate.  Infeasibility
@@ -116,27 +116,3 @@ def solve_feasibility(columns: Sequence[Vec], b: Vec) -> Feasible | Infeasible:
         raise InternalCheckError("feasible point fails re-verification")
     return Feasible(x=x_t)
 
-
-def find_uniform_positive_functional(vectors: Sequence[Vec], dim: int) -> Vec | None:
-    """A vector u with <v, u> >= 1 for every v, or None if none exists.
-
-    Used to pick a normalising functional that is strictly positive on a
-    generator family; u is free-signed, so it is split u = p - q with
-    p, q >= 0 and slack variables close the inequalities.
-    """
-    k = len(vectors)
-    if k == 0:
-        return tuple(Fraction(0) for _ in range(dim))
-    columns: list[Vec] = []
-    for j in range(dim):
-        columns.append(tuple(v[j] for v in vectors))
-    for j in range(dim):
-        columns.append(tuple(-v[j] for v in vectors))
-    for i in range(k):
-        columns.append(tuple(Fraction(-1) if r == i else Fraction(0) for r in range(k)))
-    b = tuple(Fraction(1) for _ in range(k))
-    result = solve_feasibility(columns, b)
-    if not result.feasible:
-        return None
-    x = result.x
-    return tuple(x[j] - x[dim + j] for j in range(dim))

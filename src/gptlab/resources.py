@@ -24,7 +24,7 @@ from .contextuality import (
     interior_state_functional,
     nonunique_decomposition,
 )
-from .errors import InputError, InternalCheckError
+from .errors import InputError
 from .linalg import Vec, format_rational, format_vec, inner, integerize, vec_scale, vec_sub
 from .theory import (
     BonusElement,
@@ -35,7 +35,8 @@ from .theory import (
     effect_cone,
     in_effect_set,
     in_state_set,
-    no_restriction_check,
+    nonrefinable_effects,
+    pure_states,
     reduce_named,
     require_valid,
     state_cone,
@@ -158,9 +159,8 @@ def _extend(g: Gpt, b: BonusElement) -> ExtensionOutcome:
     else:
         raise InputError(f"bonus element kind must be 'effect' or 'state', got {b.kind!r}")
 
+    # closed_theory asserts no-restriction, so validation also checks duality
     require_valid(extended)
-    if not no_restriction_check(extended).holds:
-        raise InternalCheckError("extension failed its own duality check")
     if expelled:
         warnings.append(
             "previously valid generators were expelled by the bonus element: "
@@ -236,15 +236,11 @@ def classify_bonus(g: Gpt, b: BonusElement) -> ResourceVerdict:
     )
 
     if b.kind == "effect":
-        from .theory import nonrefinable_effects
-
         family = nonrefinable_effects(extended)
         normalizer = interior_state_functional(extended)
         inside = in_effect_set(g, b.vector)
         side_name = "effect set"
     else:
-        from .theory import pure_states
-
         family = pure_states(extended)
         normalizer = g.unit
         inside = in_state_set(g, b.vector)

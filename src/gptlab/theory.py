@@ -22,8 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from . import cones
-from .cones import Cone, cone_from_rays, contains, dual_cone, member_cone
+from .cones import Cone, cone_from_rays, contains, dual_cone
 from .errors import DimensionMismatch, InputError, InternalCheckError, TheoryConsistencyError
 from .linalg import (
     Mat,
@@ -530,91 +529,24 @@ def pure_states(g: Gpt) -> tuple[tuple[str, Vec], ...]:
 
 
 @lru_cache(maxsize=None)
-def effect_set_vertices(g: Gpt) -> tuple[Vec, ...]:
-    """Extreme points of the effect set [0, U] within the effect cone.
-
-    Enumerated by homogenisation: lift to { (x, t) : x in t*[0, U] } one
-    dimension up and read vertices off the rays with positive last
-    coordinate.
-    """
-    ec = effect_cone(g)
-    lifted_normals: list[Vec] = []
-    for n in ec.facets:
-        lifted_normals.append(n + (Fraction(0),))  # <n, x> >= 0
-        lifted_normals.append(vec_scale(-1, n) + (inner(n, g.unit),))  # <n, tU - x> >= 0
-    lifted_normals.append(tuple(Fraction(0) for _ in range(g.dim)) + (Fraction(1),))
-    lin, rays = cones.double_description(lifted_normals, g.dim + 1)
-    if lin:
-        raise InternalCheckError("effect set is not pointed; cannot enumerate vertices")
-    vertices = []
-    for r in rays:
-        t = r[-1]
-        if t == 0:
-            raise InternalCheckError("effect set is unbounded; recession ray found")
-        vertices.append(vec_scale(Fraction(1) / t, r[:-1]))
-    return tuple(sorted(vertices))
-
-
-@lru_cache(maxsize=None)
 def nonrefinable_effects(g: Gpt) -> tuple[tuple[str, Vec], ...]:
     """Extreme effects on extreme rays of the effect cone: the effects that
     admit no split into two nonzero, non-proportional effects.
 
-    Computed per extreme ray (the maximal scaling of the ray inside the
-    order interval), then cross-checked against the refinability
-    characterisation on the full vertex list: every other vertex must admit
-    an explicit refinement, which is constructed and verified.
+    Each is the maximal scaling of an extreme ray inside the order interval
+    [0, U], read off the effect cone's facets.  No other vertex of [0, U]
+    can be one: a vertex off the extreme rays has a conic expansion with at
+    least two positive terms, and for `part = coef * ray` one of them, both
+    `part` and `vertex - part` lie in the cone while
+    `U - part = (U - vertex) + (vertex - part)` does too, so the vertex
+    splits into two effects that are not proportional to it.
     """
     ec = effect_cone(g)
-    atoms: list[Vec] = []
-    for ray in ec.rays:
-        bounds = [
-            inner(n, g.unit) / inner(n, ray)
-            for n in ec.facets
-            if inner(n, ray) > 0
-        ]
+    out = []
+    for i, ray in enumerate(ec.rays):
+        bounds = [inner(n, g.unit) / inner(n, ray) for n in ec.facets if inner(n, ray) > 0]
         if not bounds:
             raise TheoryConsistencyError("effect cone has an unbounded order interval")
-        t = min(bounds)
-        if t <= 0:
-            raise InternalCheckError("nonpositive scaling bound on an extreme ray")
-        atoms.append(vec_scale(t, ray))
-    atom_set = set(atoms)
-
-    # agreement check: vertices off the extreme rays must be refinable
-    for vertex in effect_set_vertices(g):
-        if vertex in atom_set or all(x == 0 for x in vertex):
-            continue
-        if any(integerize(vertex) == integerize(a) for a in atoms):
-            raise InternalCheckError(
-                "vertex proportional to an atom but not equal: scaling bound is wrong"
-            )
-        cert = member_cone(vertex, ec)
-        positive = [
-            (idx, coef) for idx, coef in enumerate(cert.coefficients) if coef > 0
-        ]
-        if len(positive) < 2:
-            raise InternalCheckError(
-                f"effect-set vertex {format_vec(vertex)} sits on one extreme ray "
-                "but was not recognised as an atom"
-            )
-        idx, coef = positive[0]
-        part = vec_scale(coef, ec.rays[idx])
-        rest = vec_sub(vertex, part)
-        for piece in (part, rest):
-            if not in_effect_set(g, piece):
-                raise InternalCheckError("constructed refinement left the effect set")
-        if integerize(part) == integerize(vertex):
-            raise InternalCheckError("constructed refinement is proportional to the original")
-    out = []
-    named = list(g.effects())
-    used: set[str] = set()
-    for i, a in enumerate(atoms):
-        label = None
-        for gen_label, v in named:
-            if gen_label not in used and v == a:
-                label = gen_label
-                used.add(gen_label)
-                break
-        out.append((label or f"nr{i + 1}", a))
+        atom = vec_scale(min(bounds), ray)
+        out.append((next((l for l, v in g.effects() if v == atom), f"nr{i + 1}"), atom))
     return tuple(out)

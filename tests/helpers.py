@@ -1,8 +1,8 @@
 """Shared test utilities: independent brute-force oracles, the LP
-definitions the double-description decisions are checked against, the
-Fraction eliminations and the Fraction same-dimension search the integer
-kernel and screen are checked against, helpers only
-tests use, and seeded random instance generators.
+definitions and the lifted vertex enumeration the double-description
+decisions are checked against, the Fraction eliminations and the Fraction
+same-dimension search the integer kernel and screen are checked against,
+helpers only tests use, and seeded random instance generators.
 
 The oracles deliberately avoid the library's own algorithms: vertex
 enumeration goes through exhaustive tight-constraint subsets and plain
@@ -19,7 +19,7 @@ from random import Random
 from unittest.mock import patch
 
 from gptlab import linalg, lp
-from gptlab.cones import Cone, member_cone, member_convex
+from gptlab.cones import Cone, double_description, member_cone, member_convex
 from gptlab.contextuality import (
     NONE_FOUND_CAVEAT,
     ExactDimSearch,
@@ -39,6 +39,7 @@ from gptlab.linalg import (
     rank,
     vec_add,
     vec_scale,
+    vec_sub,
     zeros,
 )
 from gptlab.theory import (
@@ -122,6 +123,52 @@ def lp_no_restriction_gaps(g: Gpt):
         if not member_cone(h, effect_cone(g)).inside
     )
     return states, effects
+
+
+def effect_set_vertices(g: Gpt) -> tuple[Vec, ...]:
+    """Extreme points of the effect set [0, U] within the effect cone.
+
+    Enumerated by homogenisation: lift to { (x, t) : x in t*[0, U] } one
+    dimension up and read vertices off the rays with positive last
+    coordinate.
+    """
+    ec = effect_cone(g)
+    lifted_normals: list[Vec] = []
+    for n in ec.facets:
+        lifted_normals.append(n + (Fraction(0),))  # <n, x> >= 0
+        lifted_normals.append(vec_scale(-1, n) + (inner(n, g.unit),))  # <n, tU - x> >= 0
+    lifted_normals.append(zeros(g.dim) + (Fraction(1),))
+    lin, rays = double_description(lifted_normals, g.dim + 1)
+    assert not lin, "effect set is not pointed"
+    assert all(r[-1] > 0 for r in rays), "effect set is unbounded"
+    return tuple(sorted(vec_scale(Fraction(1) / r[-1], r[:-1]) for r in rays))
+
+
+def reference_nonrefinable_effects(g: Gpt) -> set[Vec]:
+    """The nonzero vertices of the effect set that admit no refinement.
+
+    Every vertex whose membership LP in the effect cone uses two or more
+    rays is split as `part = coef * ray` plus the rest, and both pieces are
+    checked to be effects (each and its complement in the cone, by LP).
+    What is left are the vertices on single extreme rays."""
+    ec = effect_cone(g)
+
+    def is_effect(e: Vec) -> bool:
+        return member_cone(e, ec).inside and member_cone(vec_sub(g.unit, e), ec).inside
+
+    atoms = set()
+    for vertex in effect_set_vertices(g):
+        if all(x == 0 for x in vertex):
+            continue
+        positive = [(i, c) for i, c in enumerate(member_cone(vertex, ec).coefficients) if c > 0]
+        if len(positive) == 1:
+            atoms.add(vertex)
+            continue
+        idx, coef = positive[0]
+        part = vec_scale(coef, ec.rays[idx])
+        assert is_effect(part) and is_effect(vec_sub(vertex, part))
+        assert integerize(part) != integerize(vertex)
+    return atoms
 
 
 # ---------------------------------------------------------------------------

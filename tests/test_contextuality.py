@@ -9,16 +9,18 @@ from gptlab.contextuality import (
     SubtheoryRejected,
     build_ncom,
     classify,
+    decomposition_witness,
     embed_exact_dim,
     embed_lp,
     indistinguishability_witness,
+    interior_state_functional,
     model_dimension_bound,
     nonunique_decomposition,
     verify_ncom,
 )
 from gptlab.errors import InputError
-from gptlab.linalg import identity, outer, vec, zeros
-from gptlab.theory import theory_table
+from gptlab.linalg import identity, inner, outer, vec, zeros
+from gptlab.theory import build_gpt, theory_table
 
 from helpers import mat_add, random_classical_theory, random_subgpt, state_distribution
 
@@ -110,6 +112,31 @@ def test_nonunique_decomposition_rejects_bad_normalizer():
     with pytest.raises(InputError) as exc:
         nonunique_decomposition(named, vec(1, 0))
     assert "b" in str(exc.value)
+
+
+def test_decomposition_witness_matches_classify(theories):
+    verdict = classify(theories["rebit_completion"])
+    found = decomposition_witness(theories["rebit_completion"])
+    assert found == (verdict.witness_side, verdict.witness)
+    assert decomposition_witness(theories["classical_trit"]) is None
+
+
+def test_decomposition_witness_effect_side_on_barycentric_slice():
+    # simplex states, so only the effects can decompose twice: a + ac = b + bc;
+    # the zero effect z is valid and must not break the slice
+    g = build_gpt(
+        3,
+        [1, 1, 1],
+        [("z", [0, 0, 0]), ("a", [1, 1, 0]), ("ac", [0, 0, 1]), ("b", [1, 0, 1]), ("bc", [0, 1, 0])],
+        [("p1", [1, 0, 0]), ("p2", [0, 1, 0]), ("p3", [0, 0, 1])],
+        claims_no_restriction=False,
+    )
+    side, w = decomposition_witness(g)
+    assert side == "effects" and w.verify()
+    assert w.point == vec(1, 1, 1)
+    u = interior_state_functional(g)
+    assert u == vec(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
+    assert all(inner(u, v) == 1 for _, v in w.generators)
 
 
 # ---------------------------------------------------------------------------

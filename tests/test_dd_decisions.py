@@ -1,8 +1,9 @@
 """Yes/no cone questions answered from the double description.
 
 The fast paths (extremality from tight facets, facet-sign membership, ray
-set differences) are checked against their LP definitions in `helpers`,
-and the bundled theories pin how many LPs each decision may run.
+set differences, nonrefinable effects from per-ray scaling) are checked
+against their LP definitions in `helpers`, and the bundled theories pin how
+many LPs each decision may run.
 """
 
 from fractions import Fraction
@@ -14,10 +15,15 @@ from hypothesis import strategies as st
 
 from gptlab import catalog, cones, lp, theory
 from gptlab.cones import cone_from_rays, contains, member_cone, reduce_generators
-from gptlab.linalg import vec, vec_scale, vec_sub
+from gptlab.contextuality import classify, interior_state_functional
+from gptlab.linalg import inner, vec, vec_scale, vec_sub
 from gptlab.theory import (
+    FIX_EFFECTS,
+    FIX_STATES,
+    complete,
     in_effect_set,
     no_restriction_check,
+    nonrefinable_effects,
     pure_states,
     validate,
 )
@@ -31,6 +37,7 @@ from helpers import (
     random_classical_theory,
     random_pair_subgpt,
     random_subgpt,
+    reference_nonrefinable_effects,
 )
 
 seeds = st.integers(min_value=0, max_value=10**9)
@@ -94,12 +101,40 @@ def test_bundled_ray_sets_match_membership_lps(name):
     assert (check.state_witnesses, check.effect_witnesses) == lp_no_restriction_gaps(g)
 
 
-@pytest.fixture
-def lp_calls(monkeypatch):
-    """Cold theory caches, and the arguments of every LP solved."""
+def check_nonrefinable_effects(g):
+    """The per-ray atoms are the unrefinable vertices of the lifted
+    enumeration, and the barycentric slice is positive on every nonzero
+    effect generator and every atom."""
+    atoms = [v for _, v in nonrefinable_effects(g)]
+    assert set(atoms) == reference_nonrefinable_effects(g)
+    u = interior_state_functional(g)
+    nonzero = [e for e in g.effect_vectors if any(e)]
+    assert all(inner(u, e) > 0 for e in nonzero + atoms)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.integers(min_value=2, max_value=4))
+def test_nonrefinable_effects_match_vertex_enumeration(seed, dim):
+    check_nonrefinable_effects(random_theory(seed, dim))
+
+
+@pytest.mark.parametrize("mode", [None, FIX_EFFECTS, FIX_STATES])
+@pytest.mark.parametrize("name", catalog.bundled_names())
+def test_bundled_nonrefinable_effects_match_vertex_enumeration(name, mode):
+    g = catalog.get(name)
+    check_nonrefinable_effects(g if mode is None else complete(g, mode))
+
+
+def clear_theory_caches():
     for f in vars(theory).values():
         if hasattr(f, "cache_clear"):
             f.cache_clear()
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Cold theory caches, and the arguments of every LP solved."""
+    clear_theory_caches()
     calls = []
     solve = lp.solve_feasibility
 
@@ -139,3 +174,22 @@ def test_cone_facets_come_from_the_reduction_run(monkeypatch):
     facets = c.facets
     assert len(runs) == 1
     assert facets == cones._generators(*dd(c.rays, 3))
+
+
+NO_RESTRICTION_CASES = [
+    (name, None) for name in catalog.bundled_names()
+    if no_restriction_check(catalog.get(name)).holds
+] + [(name, FIX_EFFECTS) for name in catalog.bundled_names()]
+
+
+@pytest.mark.parametrize("name, mode", NO_RESTRICTION_CASES)
+def test_nonrefinable_effects_and_classify_solve_no_lp(name, mode, lp_calls):
+    g = catalog.get(name)
+    if mode is not None:
+        g = complete(g, mode)
+        clear_theory_caches()
+        lp_calls.clear()
+    nonrefinable_effects(g)
+    interior_state_functional(g)
+    classify(g)
+    assert lp_calls == []
