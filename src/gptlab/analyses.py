@@ -9,7 +9,7 @@ sorted canonically and no ambient state enters.
 
 from __future__ import annotations
 
-from .cones import cone_from_rays, is_simplicial, member_cone, member_convex
+from .cones import member_cone, member_convex
 from .contextuality import (
     OntModel,
     classify,
@@ -222,10 +222,8 @@ def analyze_report(g: Gpt) -> Report:
         cs = report.section("completion")
         cs.add("mode", FIX_EFFECTS)
         cs.add("completed state extreme points", vector_list(completion.state_vectors))
-        cs.add(
-            "completion simplicial",
-            is_simplicial(cone_from_rays(completion.state_vectors, g.dim)),
-        )
+        # the completed states are the extreme points of the maximal state set, which spans
+        cs.add("completion simplicial", len(completion.state_vectors) == g.dim)
         _classification_section(report, completion, heading="completion_classification")
     s, exact = _same_dimension_section(report, g)
     bound = model_dimension_bound(g)

@@ -35,7 +35,6 @@ from operator import mul
 from typing import Sequence
 
 from . import lp
-from .cones import cone_from_rays, is_simplicial
 from .errors import InputError, InternalCheckError
 from .linalg import (
     Mat,
@@ -308,10 +307,9 @@ def classify(g: Gpt) -> ContextualityVerdict:
         raise SubtheoryRejected(g.name)
     pure = pure_states(g)
     atoms = nonrefinable_effects(g)
-    s_cone = cone_from_rays([v for _, v in pure], g.dim)
-    e_cone = cone_from_rays([v for _, v in atoms], g.dim)
-    s_simp = is_simplicial(s_cone)
-    e_simp = is_simplicial(e_cone)
+    # valid: one pure state per state-cone ray, one atom per effect-cone ray, both cones spanning
+    s_simp = len(pure) == g.dim
+    e_simp = len(atoms) == g.dim
     if s_simp and e_simp:
         model = build_ncom_from_parts(g, pure)
         return ContextualityVerdict(
@@ -411,15 +409,16 @@ def embed_lp(g: Gpt) -> LpEmbedding:
     state cone and every state-side element in the normalised dual of the
     effect cone, so the reconstruction identity has a model iff nonnegative
     weights sigma_ab on outer products of the respective extreme rays sum to
-    the identity.  Sound and complete for polyhedral cones.  A feasible
-    solution is reduced to an inclusion-minimal support (deterministically),
-    giving one ontic point per surviving pair.
+    the identity.  Sound and complete for polyhedral cones.  The model has
+    one ontic point per pair in the support of the solver's solution, which
+    is basic: its support columns sit in the final basis, so they are
+    linearly independent, the identity has exactly one expansion over them,
+    and no proper sub-support reaches it.  The support is therefore already
+    inclusion-minimal.
     """
     require_valid(g)
     h_pool = _ordered_rays(max_effect_rays(g))
-    r_pool = []
-    for p in _ordered_rays(max_state_points(g)):
-        r_pool.append(p)
+    r_pool = _ordered_rays(max_state_points(g))
     dim = g.dim
 
     pairs = [(a, b) for a in range(len(h_pool)) for b in range(len(r_pool))]
@@ -438,33 +437,21 @@ def embed_lp(g: Gpt) -> LpEmbedding:
             farkas=farkas_matrix,
             support=(),
             effect_ray_pool=h_pool,
-            state_point_pool=tuple(r_pool),
+            state_point_pool=r_pool,
         )
         if not embedding.verify_farkas():
             raise InternalCheckError("embedding infeasibility certificate failed re-verification")
         return embedding
 
-    # deterministic support minimisation: drop pairs greedily in pair order
-    support = [k for k, x in enumerate(result.x) if x > 0]
-    weights = {k: result.x[k] for k in support}
-    for k in list(support):
-        if k not in weights:
-            continue
-        trial = [i for i in weights if i != k]
-        trial_result = lp.solve_feasibility([columns[i] for i in trial], target)
-        if trial_result.feasible:
-            weights = {
-                i: x for i, x in zip(trial, trial_result.x) if x > 0
-            }
-    kept = sorted(weights)
     state_frame = []
     effect_frame = []
     support_entries = []
-    for k in kept:
-        a, b = pairs[k]
-        support_entries.append((a, b, weights[k]))
-        effect_frame.append(vec_scale(weights[k], h_pool[a]))
-        state_frame.append(r_pool[b])
+    for k, x in enumerate(result.x):
+        if x > 0:
+            a, b = pairs[k]
+            support_entries.append((a, b, x))
+            effect_frame.append(vec_scale(x, h_pool[a]))
+            state_frame.append(r_pool[b])
     model = OntModel(state_frame=tuple(state_frame), effect_frame=tuple(effect_frame))
     report = verify_ncom(model, g)
     if not report.ok:
@@ -476,7 +463,7 @@ def embed_lp(g: Gpt) -> LpEmbedding:
         farkas=None,
         support=tuple(support_entries),
         effect_ray_pool=h_pool,
-        state_point_pool=tuple(r_pool),
+        state_point_pool=r_pool,
     )
 
 

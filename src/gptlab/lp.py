@@ -43,7 +43,11 @@ class Infeasible:
 
 
 def solve_feasibility(columns: Sequence[Vec], b: Vec) -> Feasible | Infeasible:
-    """Find x >= 0 with sum_j x_j columns_j = b, or an exact Farkas certificate."""
+    """Find x >= 0 with sum_j x_j columns_j = b, or an exact Farkas certificate.
+
+    The point is a basic solution: each positive x_j belongs to a column of
+    the final basis, so the columns x uses are linearly independent.
+    """
     m = len(b)
     for col in columns:
         if len(col) != m:

@@ -2,6 +2,7 @@
 definitions and the lifted vertex enumeration the double-description
 decisions are checked against, the Fraction eliminations and the Fraction
 same-dimension search the integer kernel and screen are checked against,
+the greedy support minimisation the basic LP solution made redundant,
 helpers only tests use, and seeded random instance generators.
 
 The oracles deliberately avoid the library's own algorithms: vertex
@@ -301,6 +302,29 @@ def reference_solve_feasibility(columns, b):
         if var < n:
             x[var] = tableau[i][-1]
     return "x", tuple(x)
+
+
+def support_is_independent(columns, x) -> bool:
+    """The columns a point of { x >= 0 : A x = b } uses are linearly
+    independent, as they are for a basic solution."""
+    support = [col for col, x_j in zip(columns, x) if x_j > 0]
+    return not support or rank(support) == len(support)
+
+
+def reference_minimal_support(columns, b, x) -> dict[int, Fraction]:
+    """The greedy support minimisation `contextuality.embed_lp` ran after
+    its LP, kept to compare against: drop each support column in index
+    order whenever the rest still reach b, re-solving each time.  Returns
+    the surviving {column index: weight}."""
+    weights = {k: x_k for k, x_k in enumerate(x) if x_k > 0}
+    for k in list(weights):
+        if k not in weights:
+            continue
+        trial = [i for i in weights if i != k]
+        trial_result = lp.solve_feasibility([columns[i] for i in trial], b)
+        if trial_result.feasible:
+            weights = {i: x_i for i, x_i in zip(trial, trial_result.x) if x_i > 0}
+    return weights
 
 
 @contextmanager

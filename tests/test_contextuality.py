@@ -1,9 +1,12 @@
 from fractions import Fraction
 from random import Random
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gptlab import catalog
+from gptlab import catalog, lp
 from gptlab.contextuality import (
     OntModel,
     SubtheoryRejected,
@@ -22,7 +25,15 @@ from gptlab.errors import InputError
 from gptlab.linalg import identity, inner, outer, vec, zeros
 from gptlab.theory import build_gpt, theory_table
 
-from helpers import mat_add, random_classical_theory, random_subgpt, state_distribution
+from helpers import (
+    mat_add,
+    random_classical_theory,
+    random_pair_subgpt,
+    random_subgpt,
+    reference_minimal_support,
+    state_distribution,
+    support_is_independent,
+)
 
 HALF = Fraction(1, 2)
 
@@ -233,6 +244,46 @@ def test_embed_lp_rebit_completion_infeasible(theories):
     result = embed_lp(theories["rebit_completion"])
     assert not result.found
     assert result.verify_farkas()
+
+
+def lp_runs(g):
+    """embed_lp(g), and the arguments and result of every LP it solved."""
+    runs = []
+    solve = lp.solve_feasibility
+
+    def recording(*args):
+        runs.append((args, solve(*args)))
+        return runs[-1][1]
+
+    with patch.object(lp, "solve_feasibility", recording):
+        return embed_lp(g), runs
+
+
+def check_first_basic_solution(g):
+    """embed_lp solves one LP and keeps its support: the support columns are
+    independent, and the greedy `reference_minimal_support` changes nothing."""
+    embedding, runs = lp_runs(g)
+    assert len(runs) == 1
+    (columns, target), result = runs[0]
+    if not result.feasible:
+        assert not embedding.found and embedding.verify_farkas()
+        return
+    assert support_is_independent(columns, result.x)
+    first = {k: x for k, x in enumerate(result.x) if x > 0}
+    assert reference_minimal_support(columns, target, result.x) == first
+    pool = len(embedding.state_point_pool)
+    assert [(a * pool + b, x) for a, b, x in embedding.support] == list(first.items())
+
+
+@pytest.mark.parametrize("name", catalog.bundled_names())
+def test_embed_lp_keeps_its_first_basic_solution(name):
+    check_first_basic_solution(catalog.get(name))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([random_subgpt, random_pair_subgpt]), st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_embed_lp_keeps_its_first_basic_solution_on_random_theories(make, dim, seed):
+    check_first_basic_solution(make(Random(seed), dim))
 
 
 def test_embed_exact_dim_toy(theories):

@@ -3,7 +3,7 @@
 The fast paths (extremality from tight facets, facet-sign membership, ray
 set differences, nonrefinable effects from per-ray scaling) are checked
 against their LP definitions in `helpers`, and the bundled theories pin how
-many LPs each decision may run.
+many LPs and double descriptions each decision may run.
 """
 
 from fractions import Fraction
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gptlab import catalog, cones, lp, theory
-from gptlab.cones import cone_from_rays, contains, member_cone, reduce_generators
+from gptlab.cones import cone_from_rays, contains, is_simplicial, member_cone, reduce_generators
 from gptlab.contextuality import classify, interior_state_functional
 from gptlab.linalg import inner, vec, vec_scale, vec_sub
 from gptlab.theory import (
@@ -193,3 +193,53 @@ def test_nonrefinable_effects_and_classify_solve_no_lp(name, mode, lp_calls):
     interior_state_functional(g)
     classify(g)
     assert lp_calls == []
+
+
+def check_simpliciality_counts(g, completed):
+    """classify's ray counts agree with rebuilding each family's cone, and
+    a completion's state count with rebuilding its state cone."""
+    verdict = classify(g)
+    pure = [v for _, v in pure_states(g)]
+    atoms = [v for _, v in nonrefinable_effects(g)]
+    assert verdict.states_simplicial == is_simplicial(cone_from_rays(pure, g.dim))
+    assert verdict.effects_simplicial == is_simplicial(cone_from_rays(atoms, g.dim))
+    if completed:
+        assert (len(g.state_vectors) == g.dim) == is_simplicial(cone_from_rays(g.state_vectors, g.dim))
+
+
+CLASSIFY_CASES = [(name, None) for name, mode in NO_RESTRICTION_CASES if mode is None] + [
+    (name, mode) for name in catalog.bundled_names() for mode in (FIX_EFFECTS, FIX_STATES)
+]
+
+
+@pytest.mark.parametrize("name, mode", CLASSIFY_CASES)
+def test_classify_counts_match_rebuilt_cones(name, mode):
+    g = catalog.get(name)
+    check_simpliciality_counts(g if mode is None else complete(g, mode), mode is not None)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.integers(min_value=2, max_value=4), st.sampled_from([FIX_EFFECTS, FIX_STATES]))
+def test_classify_counts_match_rebuilt_cones_on_random_theories(seed, dim, mode):
+    g = random_theory(seed, dim)
+    if no_restriction_check(g).holds:
+        check_simpliciality_counts(g, False)
+    check_simpliciality_counts(complete(g, mode), True)
+
+
+@pytest.mark.parametrize("name, mode", CLASSIFY_CASES)
+def test_classify_with_warm_caches_runs_no_double_description(name, mode, monkeypatch):
+    g = catalog.get(name)
+    if mode is not None:
+        g = complete(g, mode)
+    classify(g)
+    runs = []
+    dd = cones.double_description
+
+    def counting(*args):
+        runs.append(args)
+        return dd(*args)
+
+    monkeypatch.setattr(cones, "double_description", counting)
+    classify(g)
+    assert runs == []

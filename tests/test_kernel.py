@@ -31,6 +31,7 @@ from helpers import (
     reference_null_space,
     reference_solve_feasibility,
     reference_solve_linear,
+    support_is_independent,
 )
 
 # few distinct values, many zeros: dependent rows, zero pivots and ratio ties
@@ -65,8 +66,21 @@ def lps(draw):
     return columns, tuple(draw(entries) for _ in range(m))
 
 
+@st.composite
+def planted_lps(draw):
+    """Feasible by construction: b is a nonnegative combination of the
+    columns, often of more of them than the rank allows a basis."""
+    columns, b = draw(lps())
+    weights = [draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3)])) for _ in columns]
+    return columns, tuple(sum((w * c[i] for w, c in zip(weights, columns)), Fraction(0)) for i in range(len(b)))
+
+
 def _lp_answer(columns, b):
+    """The solver's answer in the reference's form; a feasible point must
+    also be basic, its support columns linearly independent."""
     result = lp.solve_feasibility(columns, b)
+    if result.feasible:
+        assert support_is_independent(columns, result.x)
     return ("x", result.x) if result.feasible else ("farkas", result.farkas)
 
 
@@ -132,7 +146,7 @@ def test_inverse_columns_singular_inputs_carry_the_rank(m, actual_rank):
 
 
 @settings(max_examples=30, deadline=None)
-@given(lps())
+@given(st.one_of(lps(), planted_lps()))
 def test_integer_lp_matches_fraction_simplex(problem):
     columns, b = problem
     with checked_pivot():
