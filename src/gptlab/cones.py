@@ -1,22 +1,20 @@
 """Polyhedral cones: double description, duality, membership.
 
 A cone is stored through a reduced generator (ray) list and its facet
-normals.  Rays are kept in a canonical form, integer entries with content 1
-and direction preserved, which makes cone comparisons plain set comparisons
-for pointed cones.  Cones that contain lines are represented by including
-both v and -v among the generators; equality constraints in a facet
-description appear as the corresponding pair of opposite normals.
+normals, both read off one double-description run.  Rays are kept in a
+canonical form, integer entries with content 1 and direction preserved,
+which makes cone comparisons plain set comparisons for pointed cones.  A
+cone with lines keeps its given generators in that form, deduplicated.
+Lines of the dual enter the facet list as pairs of opposite normals, that
+is, as equality constraints.
 
-Yes/no questions are answered from the two representations, with no LP:
-one double-description run on the generators yields the facets, a generator
-of a pointed full-dimensional cone is extreme iff the facets tight at it
-have rank dim - 1, and `contains` is a sign test over the facets.  Only
-cones with lines or of lower dimension fall back to greedy LP reduction.
+Yes/no questions are answered from the two representations, with no LP: a
+generator of a pointed cone is extreme iff the facets tight at it have rank
+dim - 1, and `contains` is a sign test over the facets.
 
-The exact simplex in `lp` serves the questions whose answer is a
-certificate that gets printed or consumed: `member_cone` and
-`member_convex` return an expansion or a separating functional, re-verified
-before being handed out.
+The exact simplex in `lp` serves only `member_cone` and `member_convex`,
+whose answer is a certificate that gets printed or consumed: an expansion
+or a separating functional, re-verified before being handed out.
 """
 
 from __future__ import annotations
@@ -118,13 +116,13 @@ def double_description(normals: Sequence[Vec], dim: int) -> tuple[tuple[Vec, ...
 
 
 def _generators(lineality: Sequence[Vec], rays: Sequence[Vec]) -> tuple[Vec, ...]:
-    """Double-description output as one sorted generator list, each
-    lineality vector entering as the pair +l, -l."""
+    """Double-description output, already canonical, as one sorted
+    generator list, each lineality vector entering as the pair +l, -l."""
     out = list(rays)
     for l in lineality:
         out.append(l)
         out.append(vec_scale(-1, l))
-    return tuple(sorted(integerize(v) for v in out))
+    return tuple(sorted(out))
 
 
 # ---------------------------------------------------------------------------
@@ -136,57 +134,50 @@ def _tight_rank(v: Vec, normals: Sequence[Vec]) -> int:
     return rank(tight) if tight else 0
 
 
-def _reduce(vectors: Iterable[Vec]) -> tuple[tuple[Vec, ...], tuple[Vec, ...] | None]:
-    """Minimal canonical generators of cone(vectors), and its facet normals
-    when the cone is pointed and full-dimensional (else None).
+def _reduce(vectors: Iterable[Vec], dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """Canonical generators of cone(vectors) and its facet normals, from one
+    double description.
 
-    That case takes one double description: a generator is extreme iff the
-    facets tight at it have rank dim - 1 (Fukuda & Prodon 1996).  Otherwise
-    conic combinations are removed greedily by LP in canonical order, which
-    pins down a minimal generating set of a cone with lines.
+    The facets are the rays of the dual, each of its lines entering as the
+    pair +l, -l; they have rank dim iff the cone is pointed.  A pointed cone
+    keeps the generators whose tight facets have rank dim - 1, its extreme
+    rays (Fukuda & Prodon 1996); equality pairs count among the tight
+    facets, so this holds in lower dimension too.  A cone with lines keeps
+    its sorted, deduplicated canonical generators.
     """
     seen: dict[Vec, None] = {}
     for v in vectors:
+        if len(v) != dim:
+            raise DimensionMismatch(dim, len(v), "cone generator")
         cv = integerize(v)
         if not is_zero_vec(cv):
             seen.setdefault(cv, None)
     current = sorted(seen)
-    if not current:
-        return (), None
-    dim = len(current[0])
-    lineality, normals = double_description(current, dim)
-    if not lineality and normals and rank(normals) == dim:
-        kept = tuple(v for v in current if _tight_rank(v, normals) == dim - 1)
-        return kept, normals
-    i = 0
-    while i < len(current):
-        others = current[:i] + current[i + 1 :]
-        if others and lp.solve_feasibility(others, current[i]).feasible:
-            current.pop(i)
-        else:
-            i += 1
-    return tuple(current), None
+    facets = _generators(*double_description(current, dim))
+    if facets and rank(facets) == dim:
+        current = [v for v in current if _tight_rank(v, facets) == dim - 1]
+    return tuple(current), facets
 
 
 def reduce_generators(vectors: Iterable[Vec]) -> tuple[Vec, ...]:
-    """Minimal sub-list generating the same cone, in canonical form: the
-    extreme rays for pointed cones."""
-    return _reduce(vectors)[0]
+    """Canonical generators of the same cone: the extreme rays of a pointed
+    cone, the sorted deduplicated generators of a cone with lines."""
+    vectors = list(vectors)
+    return _reduce(vectors, len(vectors[0]))[0] if vectors else ()
 
 
 # ---------------------------------------------------------------------------
 # the cone value
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class Cone:
-    """Polyhedral cone in ray representation; facets given or computed once."""
+    """Polyhedral cone by its reduced rays and its facet normals, the rays
+    of its dual; opposite pairs of normals encode equality constraints."""
 
-    __slots__ = ("dim", "rays", "_facets")
-
-    def __init__(self, dim: int, rays: tuple[Vec, ...], facets: tuple[Vec, ...] | None = None):
-        self.dim = dim
-        self.rays = rays
-        self._facets = facets
+    dim: int
+    rays: tuple[Vec, ...]
+    facets: tuple[Vec, ...]
 
     def __repr__(self) -> str:
         return f"Cone(dim={self.dim}, rays={len(self.rays)})"
@@ -196,30 +187,14 @@ class Cone:
             return NotImplemented
         return cones_equal(self, other)
 
-    @property
-    def facets(self) -> tuple[Vec, ...]:
-        """Reduced inward normals; opposite pairs encode equality constraints."""
-        if self._facets is None:
-            self._facets = _generators(*double_description(self.rays, self.dim))
-        return self._facets
-
 
 def cone_from_rays(rays: Iterable[Vec], dim: int) -> Cone:
-    reduced, facets = _reduce(rays)
-    for r in reduced:
-        if len(r) != dim:
-            raise DimensionMismatch(dim, len(r), "cone ray")
-    return Cone(dim, reduced, facets)
+    return Cone(dim, *_reduce(rays, dim))
 
 
 def cone_from_facets(normals: Iterable[Vec], dim: int) -> Cone:
-    kept, rays = _reduce(normals)  # same reduction applies to normals
-    for n in kept:
-        if len(n) != dim:
-            raise DimensionMismatch(dim, len(n), "cone facet normal")
-    if rays is None:
-        rays = _generators(*double_description(kept, dim))
-    return Cone(dim, rays, facets=kept)
+    facets, rays = _reduce(normals, dim)  # the same reduction, read dually
+    return Cone(dim, rays, facets)
 
 
 def dual_cone(c: Cone) -> Cone:

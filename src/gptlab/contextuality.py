@@ -495,10 +495,11 @@ def embed_exact_dim(g: Gpt) -> ExactDimSearch:
     and the effect frame its exact dual basis with the frame-sum condition,
     so candidates are dimension-sized subsets of (a) extreme rays of the
     dual of the state cone for the effect side, then (b) extreme points of
-    the maximal state set for the state side.  Each candidate costs one
-    integer inversion (`linalg._inverse_columns`: the dual vectors f_i as
-    integer columns c_i over one denominator d > 0), and a dependent subset
-    is skipped when it raises `SingularBasisError`.
+    the maximal state set for the state side.  The candidate vectors are
+    cleared of denominators once, before the search, and each candidate
+    costs one integer inversion (`linalg._inverse_columns`: the dual
+    vectors f_i as integer columns c_i over one denominator d > 0); a
+    dependent subset is skipped when it raises `SingularBasisError`.
 
     The candidate is screened on integers, against the unit and the
     generators cleared of denominators once: on the effect side the unique
@@ -512,16 +513,17 @@ def embed_exact_dim(g: Gpt) -> ExactDimSearch:
     require_valid(g)
     dim = g.dim
     explored = 0
-    unit = _clear(g.unit)
-    effect_gens = [_clear(e) for e in g.effect_vectors]
-    state_gens = [_clear(s) for s in g.state_vectors]
+    unit, _ = _clear(g.unit)
+    effect_gens = [_clear(e)[0] for e in g.effect_vectors]
+    state_gens = [_clear(s)[0] for s in g.state_vectors]
 
     effect_candidates = _ordered_rays(max_effect_rays(g))
+    cleared = [_clear(h) for h in effect_candidates]
     for subset in combinations(range(len(effect_candidates)), dim):
         explored += 1
         chosen = [effect_candidates[i] for i in subset]
         try:
-            columns, det = _inverse_columns(chosen)
+            columns, det = _inverse_columns([cleared[i] for i in subset])
         except SingularBasisError:
             continue
         if all(_dot(c, unit) > 0 for c in columns) and _nonnegative(effect_gens, columns):
@@ -534,11 +536,12 @@ def embed_exact_dim(g: Gpt) -> ExactDimSearch:
                 return ExactDimSearch(model=model, explored=explored, caveat="")
 
     state_candidates = _ordered_rays(max_state_points(g))
+    cleared = [_clear(s) for s in state_candidates]
     for subset in combinations(range(len(state_candidates)), dim):
         explored += 1
         chosen_states = tuple(state_candidates[i] for i in subset)
         try:
-            columns, det = _inverse_columns(chosen_states)
+            columns, det = _inverse_columns([cleared[i] for i in subset])
         except SingularBasisError:
             continue
         if _nonnegative(state_gens, columns):

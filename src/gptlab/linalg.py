@@ -190,16 +190,21 @@ def pivot(rows: list[list[int]], r: int, c: int, det: int) -> int:
     return p
 
 
-def _clear(row: Sequence[Fraction | int]) -> list[int]:
-    """The row times the lcm of its denominators: integers, same direction."""
+def _clear(row: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """(row times the lcm of its denominators, that lcm): integers, same
+    direction."""
     scale = lcm(*(x.denominator for x in row))
-    return [x.numerator * (scale // x.denominator) for x in row]
+    return [x.numerator * (scale // x.denominator) for x in row], scale
 
 
 def _echelon(m: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan reduction: (R, pivot columns, d) with R an
     integer matrix and R / d the reduced row echelon form of m."""
-    rows = [_clear(row) for row in m]
+    return _eliminate([_clear(row)[0] for row in m])
+
+
+def _eliminate(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
+    """`_echelon` on integer rows, reduced in place."""
     pivots: list[int] = []
     det = 1
     for c in range(len(rows[0])):
@@ -323,18 +328,20 @@ class SingularBasisError(InputError):
         super().__init__(f"dual basis needs a full-rank square input: got {size} vectors of rank {actual_rank}")
 
 
-def _inverse_columns(basis: Sequence[Vec]) -> tuple[list[tuple[int, ...]], int]:
-    """B^-1 of the square matrix with rows `basis` as integer columns c_j
-    and one denominator d > 0: column j of B^-1 is c_j / d.
+def _inverse_columns(cleared: Sequence[tuple[Sequence[int], int]]) -> tuple[list[tuple[int, ...]], int]:
+    """B^-1 as integer columns c_j over one denominator d > 0, column j of
+    B^-1 being c_j / d, for the square matrix B whose rows b_i come cleared
+    as the `_clear` pairs (r_i, l_i) = (l_i * b_i, l_i).
 
-    One reduction of [B | I] gives both the rank of B (its pivots among B's
+    One reduction of the integer rows [r_i | l_i * e_i], the rows of
+    [B | I] scaled by l_i, gives both the rank of B (its pivots among B's
     columns) and B^-1; raises SingularBasisError unless B has full rank.
     """
-    n = len(basis)
-    if n == 0 or any(len(b) != n for b in basis):
-        raise SingularBasisError(n, 0 if n == 0 else rank(mat(basis)))
-    augmented = [tuple(row) + (0,) * i + (1,) + (0,) * (n - 1 - i) for i, row in enumerate(basis)]
-    rows, pivots, det = _echelon(augmented)
+    n = len(cleared)
+    if n == 0 or any(len(r) != n for r, _ in cleared):
+        raise SingularBasisError(n, 0 if n == 0 else rank(mat(r for r, _ in cleared)))
+    augmented = [list(r) + [0] * i + [l] + [0] * (n - 1 - i) for i, (r, l) in enumerate(cleared)]
+    rows, pivots, det = _eliminate(augmented)
     found = sum(1 for p in pivots if p < n)
     if found != n:
         raise SingularBasisError(n, found)
@@ -348,7 +355,7 @@ def dual_basis(basis: Sequence[Vec]) -> tuple[Vec, ...]:
 
     Input must be a linearly independent spanning set (square, full rank).
     """
-    return _fraction_columns(*_inverse_columns(basis))
+    return _fraction_columns(*_inverse_columns([_clear(b) for b in basis]))
 
 
 def _fraction_columns(columns: Sequence[Sequence[int]], det: int) -> tuple[Vec, ...]:

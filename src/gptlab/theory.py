@@ -209,10 +209,10 @@ def max_state_points(g: Gpt) -> tuple[Vec, ...]:
     return close_states(effect_cone(g), g.unit)
 
 
-@lru_cache(maxsize=None)
 def max_effect_rays(g: Gpt) -> tuple[Vec, ...]:
-    """Extreme rays of the largest effect cone the states allow."""
-    return dual_cone(state_cone(g)).rays
+    """Extreme rays of the largest effect cone the states allow: the facet
+    normals of the state cone."""
+    return state_cone(g).facets
 
 
 def scale_to_effect_interval(h: Vec, states: Sequence[Vec]) -> Vec:

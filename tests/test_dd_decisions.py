@@ -3,23 +3,32 @@
 The fast paths (extremality from tight facets, facet-sign membership, ray
 set differences, nonrefinable effects from per-ray scaling) are checked
 against their LP definitions in `helpers`, and the bundled theories pin how
-many LPs and double descriptions each decision may run.
+many LPs and double descriptions each decision may run.  An LP runs only
+where it backs a certificate.
 """
 
+import ast
+from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 from random import Random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gptlab
 from gptlab import catalog, cones, lp, theory
-from gptlab.cones import cone_from_rays, contains, is_simplicial, member_cone, reduce_generators
+from gptlab.cli import run
+from gptlab.cones import cone_from_facets, cone_from_rays, contains, is_simplicial, member_cone, reduce_generators
 from gptlab.contextuality import classify, interior_state_functional
+from gptlab.errors import InputError
 from gptlab.linalg import inner, vec, vec_scale, vec_sub
 from gptlab.theory import (
     FIX_EFFECTS,
     FIX_STATES,
+    build_gpt,
     complete,
     in_effect_set,
     no_restriction_check,
@@ -47,7 +56,7 @@ HALF_PLANE = [vec(1, 0), vec(-1, 0), vec(0, 1), vec(1, 1), vec(-2, 3)]
 
 def random_generators(rng: Random, dim: int):
     """Small integer generators: often pointed and full-dimensional, often
-    with lines or of lower dimension, so both reduction paths run."""
+    with lines or of lower dimension, so every shape of cone is drawn."""
     count = rng.randint(1, dim + 3)
     return [tuple(Fraction(rng.randint(-2, 2)) for _ in range(dim)) for _ in range(count)]
 
@@ -57,19 +66,68 @@ def random_theory(seed: int, dim: int):
     return (random_subgpt, random_pair_subgpt, random_classical_theory)[seed % 3](rng, dim)
 
 
-def test_half_plane_takes_the_fallback_and_matches_the_lp_reduction():
+@contextmanager
+def recorded_lps():
+    """The arguments of every LP solved inside the block."""
+    calls = []
+    solve = lp.solve_feasibility
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    with patch.object(lp, "solve_feasibility", counting):
+        yield calls
+
+
+def test_half_plane_keeps_its_generators_and_matches_membership_lps():
     c = cone_from_rays(HALF_PLANE, 2)
     assert not is_pointed(c) and is_full_dimensional(c)
-    assert c.rays == lp_reduce_generators(HALF_PLANE)
+    assert c.rays == tuple(sorted(HALF_PLANE))
     for q in (vec(0, 0), vec(-5, 1), vec(3, 0), vec(0, -1), vec(1, -1)):
         assert contains(c, q) == member_cone(q, c).inside
 
 
+def test_lower_dimensional_pointed_cone_keeps_its_extreme_rays():
+    # a wedge in a plane of R^3, with redundant generators
+    gens = [vec(1, 0, 0), vec(0, 1, 0), vec(1, 1, 0), vec(2, 0, 0)]
+    c = cone_from_rays(gens, 3)
+    assert is_pointed(c) and not is_full_dimensional(c)
+    assert c.rays == lp_reduce_generators(gens) == (vec(0, 1, 0), vec(1, 0, 0))
+
+
 @settings(max_examples=30, deadline=None)
 @given(seeds, st.integers(min_value=1, max_value=4))
-def test_reduction_matches_greedy_lp_reduction(seed, dim):
+def test_pointed_reduction_matches_greedy_lp_reduction(seed, dim):
     gens = random_generators(Random(seed), dim)
-    assert reduce_generators(gens) == lp_reduce_generators(gens)
+    c = cone_from_rays(gens, dim)
+    if is_pointed(c):
+        assert c.rays == reduce_generators(gens) == lp_reduce_generators(gens)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.integers(min_value=1, max_value=4))
+def test_cones_with_lines_keep_every_generator(seed, dim):
+    rng = Random(seed)
+    gens = random_generators(rng, dim)
+    c = cone_from_rays(gens, dim)
+    if not is_pointed(c):
+        assert all(member_cone(v, c).inside for v in gens)
+        for _ in range(4):
+            q = tuple(Fraction(rng.randint(-3, 3)) for _ in range(dim))
+            assert contains(c, q) == member_cone(q, c).inside
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.integers(min_value=1, max_value=4))
+def test_cone_construction_solves_no_lp(seed, dim):
+    gens = random_generators(Random(seed), dim)
+    with recorded_lps() as calls:
+        c = cone_from_rays(gens, dim)
+        d = cone_from_facets(gens, dim)
+    assert calls == []
+    assert all(contains(c, v) for v in gens)
+    assert all(inner(v, r) >= 0 for v in gens for r in d.rays)
 
 
 @settings(max_examples=30, deadline=None)
@@ -132,18 +190,11 @@ def clear_theory_caches():
 
 
 @pytest.fixture
-def lp_calls(monkeypatch):
+def lp_calls():
     """Cold theory caches, and the arguments of every LP solved."""
     clear_theory_caches()
-    calls = []
-    solve = lp.solve_feasibility
-
-    def counting(*args):
-        calls.append(args)
-        return solve(*args)
-
-    monkeypatch.setattr(lp, "solve_feasibility", counting)
-    return calls
+    with recorded_lps() as calls:
+        yield calls
 
 
 @pytest.mark.parametrize("name", catalog.bundled_names())
@@ -159,6 +210,48 @@ def test_yes_no_decisions_solve_no_lp(name, lp_calls):
     c = cone_from_rays(g.state_vectors, g.dim)
     assert contains(c, g.state_vectors[0])
     assert lp_calls == []
+
+
+TRIT_STATES = [("p1", (1, 0, 0)), ("p2", (0, 1, 0)), ("p3", (0, 0, 1))]
+
+
+@pytest.mark.parametrize(
+    "effects, codes",
+    [
+        # a coarse-grained measurement: effects span a plane
+        ([("a", (1, 0, 0)), ("b", (0, 1, 1))], ["effects-span"]),
+        # neither effect has its complement
+        ([("a", (1, 0, 0)), ("b", (0, 1, 0))], ["missing-complement", "missing-complement", "effects-span"]),
+    ],
+)
+def test_validate_of_invalid_theories_solves_no_lp(effects, codes, lp_calls):
+    g = build_gpt(3, (1, 1, 1), effects, TRIT_STATES, claims_no_restriction=False)
+    assert [v.code for v in validate(g).violations] == codes
+    assert lp_calls == []
+
+
+def test_emptied_state_set_evidence_is_the_only_lp(lp_calls):
+    with pytest.raises(InputError, match=r"empties the state set; evidence: -unit = 1 \* \[-1, -1, -1\]"):
+        run(["classify-resource", "trit", "--effect=-1,-1,-1"])
+    assert len(lp_calls) == 1
+
+
+def test_only_certificates_call_the_lp():
+    """Each call of `lp.solve_feasibility` in the package sits in a function
+    whose answer is a certificate; a call is owned by the outermost function
+    around it (None at module level)."""
+    callers = set()
+    for path in Path(gptlab.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):  # breadth first: outer functions come first
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    owner.setdefault(node, fn.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("solve_feasibility"):
+                callers.add((path.stem, owner.get(node)))
+    assert callers == {("cones", "member_cone"), ("cones", "member_convex"), ("contextuality", "embed_lp")}
 
 
 def test_cone_facets_come_from_the_reduction_run(monkeypatch):
