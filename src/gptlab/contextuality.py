@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from operator import mul
 from typing import Sequence
@@ -57,6 +58,7 @@ from .linalg import (
     zeros,
 )
 from .theory import (
+    _MEMO_SIZE,
     Gpt,
     max_effect_rays,
     max_state_points,
@@ -299,9 +301,15 @@ class SubtheoryRejected(InputError):
         )
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def classify(g: Gpt) -> ContextualityVerdict:
     """Noncontextual iff both extremal families are simplicial; contextual
-    verdicts attach a constructed non-unique decomposition."""
+    verdicts attach a constructed non-unique decomposition.
+
+    Memoized by theory value with the bound of `theory`'s other per-theory
+    memos: each distinct theory is decided, and its point-mass model
+    verified, once per process, and every caller shares the one immutable
+    verdict.  A rejected theory raises again on each call."""
     require_valid(g)
     if not no_restriction_check(g).holds:
         raise SubtheoryRejected(g.name)

@@ -166,14 +166,25 @@ def build_gpt(
 
 # ---------------------------------------------------------------------------
 # cached geometry
+#
+# Whole-theory results are memoized by theory value: the two cones, the
+# maximal state points, the pure states and the nonrefinable effects here,
+# `validate` below and `contextuality.classify`.  A Gpt is a frozen value,
+# so each is a pure function of it, and theories that differ in any field,
+# the name included, get separate entries.  Every memo is an lru_cache
+# bounded by _MEMO_SIZE theories, so a sweep over extended theories holds a
+# fixed number of them while the host, used by every operation, stays
+# cached.  The cached results are immutable values shared by all callers.
+
+_MEMO_SIZE = 8
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def effect_cone(g: Gpt) -> Cone:
     return cone_from_rays(g.effect_vectors, g.dim)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def state_cone(g: Gpt) -> Cone:
     return cone_from_rays(g.state_vectors, g.dim)
 
@@ -203,7 +214,7 @@ def close_effects(state_cone: Cone, state_points: Sequence[Vec]) -> tuple[Vec, .
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def max_state_points(g: Gpt) -> tuple[Vec, ...]:
     """Extreme points of the largest state set the effects allow."""
     return close_states(effect_cone(g), g.unit)
@@ -351,8 +362,13 @@ def _base_violations(g: Gpt) -> list[Violation]:
     return out
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def validate(g: Gpt) -> ValidationReport:
-    """Check every theory invariant; violations are data, not faults."""
+    """Check every theory invariant; violations are data, not faults.
+
+    Memoized by theory value (bounded by _MEMO_SIZE, see "cached
+    geometry"): each distinct theory is checked once per process, and every
+    caller shares the one immutable report."""
     out = _base_violations(g)
     if not out and g.claims_no_restriction:
         # an asserted-but-false no-restriction claim is reported, never
@@ -514,7 +530,7 @@ def reduce_named(
 # extremal elements
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def pure_states(g: Gpt) -> tuple[tuple[str, Vec], ...]:
     """Generators that are extreme points of the state set; a repeated
     vector keeps its first label.  g must be valid (callers run
@@ -528,7 +544,7 @@ def pure_states(g: Gpt) -> tuple[tuple[str, Vec], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def nonrefinable_effects(g: Gpt) -> tuple[tuple[str, Vec], ...]:
     """Extreme effects on extreme rays of the effect cone: the effects that
     admit no split into two nonzero, non-proportional effects.

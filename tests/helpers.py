@@ -13,6 +13,7 @@ implementation that shares no code path with them.
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
@@ -343,6 +344,16 @@ def checked_pivot():
     plain = linalg.pivot
     with patch.object(linalg, "pivot", checked), patch.object(lp, "pivot", checked):
         yield
+
+
+def clear_theory_caches():
+    """Empty every memo in gptlab, the per-theory caches and those of
+    `validate` and `classify` included, so the next call of each runs cold."""
+    for name, module in list(sys.modules.items()):
+        if name == "gptlab" or name.startswith("gptlab."):
+            for f in vars(module).values():
+                if hasattr(f, "cache_clear"):
+                    f.cache_clear()
 
 
 def _solve_square(rows, rhs):

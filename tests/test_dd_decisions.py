@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gptlab
-from gptlab import catalog, cones, lp, theory
+from gptlab import catalog, cones, lp
 from gptlab.cli import run
 from gptlab.cones import cone_from_facets, cone_from_rays, contains, is_simplicial, member_cone, reduce_generators
 from gptlab.contextuality import classify, interior_state_functional
@@ -38,6 +38,7 @@ from gptlab.theory import (
 )
 
 from helpers import (
+    clear_theory_caches,
     is_full_dimensional,
     is_pointed,
     lp_no_restriction_gaps,
@@ -183,12 +184,6 @@ def test_bundled_nonrefinable_effects_match_vertex_enumeration(name, mode):
     check_nonrefinable_effects(g if mode is None else complete(g, mode))
 
 
-def clear_theory_caches():
-    for f in vars(theory).values():
-        if hasattr(f, "cache_clear"):
-            f.cache_clear()
-
-
 @pytest.fixture
 def lp_calls():
     """Cold theory caches, and the arguments of every LP solved."""
@@ -326,6 +321,9 @@ def test_classify_with_warm_caches_runs_no_double_description(name, mode, monkey
     if mode is not None:
         g = complete(g, mode)
     classify(g)
+    # decide again with only the verdict memos cold: the geometry stays warm
+    classify.cache_clear()
+    validate.cache_clear()
     runs = []
     dd = cones.double_description
 
