@@ -44,7 +44,10 @@ _RESTRICTED_STATE_NOTE = (
 )
 
 
-def _theory_section(report: Report, g: Gpt) -> None:
+def _open_report(title: str, g: Gpt) -> tuple[Report, bool]:
+    """A report opened with the theory and validation sections, and whether
+    g is valid: a builder stops at an invalid theory."""
+    report = Report(title=title)
     s = report.section("theory")
     s.add("name", g.name or "<anonymous>")
     s.add("dimension", g.dim)
@@ -54,15 +57,19 @@ def _theory_section(report: Report, g: Gpt) -> None:
     s.add("asserts no-restriction", g.claims_no_restriction)
     if not g.claims_no_restriction:
         s.note(_RESTRICTED_STATE_NOTE)
-
-
-def _validation_section(report: Report, g: Gpt) -> bool:
     rep = validate(g)
     s = report.section("validation")
     s.add("consistent", rep.ok)
     for v in rep.violations:
         s.add(v.code, v.message)
-    return rep.ok
+    return report, rep.ok
+
+
+def _finite_model(lp_result) -> str:
+    """Whether `embed_lp` found a model, in the words both reports use."""
+    if lp_result.found:
+        return f"model with {lp_result.model.ontic_size} ontic points exists"
+    return "no model of any finite size"
 
 
 def _no_restriction_section(report: Report, g: Gpt):
@@ -208,9 +215,8 @@ def _indistinguishability_section(report: Report, g: Gpt, model: OntModel | None
 
 
 def analyze_report(g: Gpt) -> Report:
-    report = Report(title=f"analysis of {g.name or 'theory'}")
-    _theory_section(report, g)
-    if not _validation_section(report, g):
+    report, ok = _open_report(f"analysis of {g.name or 'theory'}", g)
+    if not ok:
         return report
     check = _no_restriction_section(report, g)
     _statistics_section(report, g)
@@ -256,29 +262,21 @@ def analyze_report(g: Gpt) -> Report:
                 "needs more ontic points than dimensions and then violates "
                 "preparation noncontextuality (see indistinguishability)",
             )
-        if lp_result.found:
-            conclusion.add(
-                "unbounded-cardinality embedding",
-                f"model with {lp_result.model.ontic_size} ontic points exists",
-            )
-        else:
-            conclusion.add("unbounded-cardinality embedding", "no model of any finite size")
+        conclusion.add("unbounded-cardinality embedding", _finite_model(lp_result))
     return report
 
 
 def table_report(g: Gpt) -> Report:
-    report = Report(title=f"probability table of {g.name or 'theory'}")
-    _theory_section(report, g)
-    if not _validation_section(report, g):
+    report, ok = _open_report(f"probability table of {g.name or 'theory'}", g)
+    if not ok:
         return report
     _statistics_section(report, g)
     return report
 
 
 def complete_report(g: Gpt, mode: str) -> Report:
-    report = Report(title=f"completion of {g.name or 'theory'} ({mode})")
-    _theory_section(report, g)
-    if not _validation_section(report, g):
+    report, ok = _open_report(f"completion of {g.name or 'theory'} ({mode})", g)
+    if not ok:
         return report
     completion = complete(g, mode)
     s = report.section("completion")
@@ -296,20 +294,13 @@ def complete_report(g: Gpt, mode: str) -> Report:
 
 def embed_report(g: Gpt, exact_dim: bool) -> Report:
     kind = "same-dimension" if exact_dim else "unbounded-cardinality"
-    report = Report(title=f"{kind} embedding of {g.name or 'theory'}")
-    _theory_section(report, g)
-    if not _validation_section(report, g):
+    report, ok = _open_report(f"{kind} embedding of {g.name or 'theory'}", g)
+    if not ok:
         return report
     if exact_dim:
         s, result = _same_dimension_section(report, g)
         if not result.found:
-            lp_result = embed_lp(g)
-            s.add(
-                "unbounded-cardinality comparison",
-                f"model with {lp_result.model.ontic_size} ontic points exists"
-                if lp_result.found
-                else "no model of any finite size",
-            )
+            s.add("unbounded-cardinality comparison", _finite_model(embed_lp(g)))
             s.add("table rank bound", model_dimension_bound(g))
     else:
         _lp_section(report, g)
@@ -317,9 +308,8 @@ def embed_report(g: Gpt, exact_dim: bool) -> Report:
 
 
 def witness_report(g: Gpt, kind: str) -> Report:
-    report = Report(title=f"{kind} witness for {g.name or 'theory'}")
-    _theory_section(report, g)
-    if not _validation_section(report, g):
+    report, ok = _open_report(f"{kind} witness for {g.name or 'theory'}", g)
+    if not ok:
         return report
     if kind == "lemma2":
         s = report.section("nonunique_decomposition")
@@ -344,9 +334,9 @@ def witness_report(g: Gpt, kind: str) -> Report:
 
 
 def resource_report(g: Gpt, b: BonusElement) -> Report:
-    report = Report(title=f"resource classification of {b.label} against {g.name or 'theory'}")
-    _theory_section(report, g)
-    if not _validation_section(report, g):
+    title = f"resource classification of {b.label} against {g.name or 'theory'}"
+    report, ok = _open_report(title, g)
+    if not ok:
         return report
     verdict = classify_bonus(g, b)
     s = report.section("resource")

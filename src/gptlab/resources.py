@@ -27,10 +27,10 @@ from .contextuality import (
 from .errors import InputError
 from .linalg import Vec, format_rational, format_vec, inner, integerize, vec_scale, vec_sub
 from .theory import (
+    FIX_EFFECTS,
+    FIX_STATES,
     BonusElement,
     Gpt,
-    close_effects,
-    close_states,
     closed_theory,
     effect_cone,
     in_effect_set,
@@ -95,79 +95,61 @@ def extend_theory(g: Gpt, b: BonusElement) -> ExtensionOutcome:
     For a bonus effect the new effect cone is generated by the old effects,
     b and unit - b (the rest of b's measurement); states are recomputed as
     the dual slice.  For a bonus state the state cone gains b and the
-    effects are recomputed.  Old generators invalidated by the new element
-    are reported as expelled, with no guess at their operational fate.
+    effects are recomputed.  Both are `theory.closed_theory` of the grown
+    side, the closure `theory.complete` also uses; the grown side keeps its
+    labels in ray order.  Old generators invalidated by the new element are
+    reported as expelled, with no guess at their operational fate.
     """
     _require_classical_host(g)
-    return _extend(g, b)
-
-
-def _extend(g: Gpt, b: BonusElement) -> ExtensionOutcome:
-    """`extend_theory` on a host that has passed `_require_classical_host`."""
     if len(b.vector) != g.dim:
         raise InputError(
             f"bonus element {b.label!r} has dimension {len(b.vector)}, theory has {g.dim}; "
             "classification of dimension-raising elements is reported, not computed"
         )
-    warnings: list[str] = []
-    name = f"{g.name}+{b.label}" if g.name else f"extended+{b.label}"
     if b.kind == "effect":
-        complement = vec_sub(g.unit, b.vector)
-        raw = list(g.effects()) + [(b.label, b.vector), (f"{b.label}_c", complement)]
-        new_cone = cone_from_rays([v for _, v in raw], g.dim)
-        points = close_states(new_cone, g.unit)
-        if not points:
-            # a state x would need <-unit, x> >= 0 and <unit, x> = 1 at once
-            evidence = member_cone(vec_scale(-1, g.unit), new_cone)
-            terms = " + ".join(
-                f"{format_rational(c)} * {format_vec(r)}"
-                for c, r in zip(evidence.coefficients, new_cone.rays)
-                if c != 0
-            )
-            raise InputError(
-                f"bonus effect {b.label!r} empties the state set; evidence: -unit = {terms}"
-            )
-        kept_effects = reduce_named(raw, new_cone.rays)
-        extended = closed_theory(
-            g, kept_effects, [(f"d{i + 1}", p) for i, p in enumerate(points)], name
-        )
-        expelled = tuple(
-            (label, s)
-            for label, s in g.states()
-            if not (0 <= inner(b.vector, s) <= 1)
-        )
-        added = tuple(n for n, _ in kept_effects if n not in g.effect_names)
+        mode, fixed, other = FIX_EFFECTS, g.effects(), g.states()
+        grown = [(b.label, b.vector), (f"{b.label}_c", vec_sub(g.unit, b.vector))]
     elif b.kind == "state":
         if inner(g.unit, b.vector) != 1:
             raise InputError(
                 f"bonus state {b.label!r} is not normalised: <unit, b> = "
                 f"{inner(g.unit, b.vector)}"
             )
-        raw_states = list(g.states()) + [(b.label, b.vector)]
-        new_state_cone = cone_from_rays([v for _, v in raw_states], g.dim)
-        kept_states = reduce_named(raw_states, new_state_cone.rays)
-        atoms = close_effects(new_state_cone, [v for _, v in kept_states])
-        extended = closed_theory(
-            g, [(f"f{i + 1}", a) for i, a in enumerate(atoms)], kept_states, name
-        )
-        expelled = tuple(
-            (label, e)
-            for label, e in g.effects()
-            if not (0 <= inner(e, b.vector) <= 1)
-        )
-        added = tuple(n for n, _ in kept_states if n not in g.state_names)
+        mode, fixed, other = FIX_STATES, g.states(), g.effects()
+        grown = [(b.label, b.vector)]
     else:
         raise InputError(f"bonus element kind must be 'effect' or 'state', got {b.kind!r}")
+    raw = list(fixed) + grown
+    cone = cone_from_rays([v for _, v in raw], g.dim)
+    kept = reduce_named(raw, cone.rays)
+    name = f"{g.name}+{b.label}" if g.name else f"extended+{b.label}"
+    extended = closed_theory(g, mode, cone, kept, name)
+    if not extended.state_vectors:
+        # only a bonus effect can empty the states: a state x would need
+        # <-unit, x> >= 0 and <unit, x> = 1 at once
+        evidence = member_cone(vec_scale(-1, g.unit), cone)
+        terms = " + ".join(
+            f"{format_rational(c)} * {format_vec(r)}"
+            for c, r in zip(evidence.coefficients, cone.rays)
+            if c != 0
+        )
+        raise InputError(
+            f"bonus effect {b.label!r} empties the state set; evidence: -unit = {terms}"
+        )
+    expelled = tuple((label, v) for label, v in other if not (0 <= inner(b.vector, v) <= 1))
+    fixed_labels = {label for label, _ in fixed}
+    added = tuple(label for label, _ in kept if label not in fixed_labels)
 
     # closed_theory asserts no-restriction, so validation also checks duality
     require_valid(extended)
+    warnings = ()
     if expelled:
-        warnings.append(
+        warnings = (
             "previously valid generators were expelled by the bonus element: "
-            + ", ".join(label for label, _ in expelled)
+            + ", ".join(label for label, _ in expelled),
         )
     return ExtensionOutcome(
-        theory=extended, added_labels=added, expelled=expelled, warnings=tuple(warnings)
+        theory=extended, added_labels=added, expelled=expelled, warnings=warnings
     )
 
 
@@ -204,7 +186,7 @@ def classify_bonus(g: Gpt, b: BonusElement) -> ResourceVerdict:
             witness=None,
         )
 
-    outcome = _extend(g, b)
+    outcome = extend_theory(g, b)
     extended = outcome.theory
     warnings = list(outcome.warnings)
 

@@ -10,8 +10,10 @@ interval is the smallest closed set honouring both.
 
 Theories that assert the no-restriction property claim that their state set
 equals everything the effect set allows (and dually); `no_restriction_check`
-decides that claim with explicit gap witnesses, and `complete` produces the
-canonical closures that make it true.
+decides that claim with explicit gap witnesses.  `closed_theory` is the one
+dual closure that makes it true: `complete` applies it to a theory's own
+effects or states, and `resources.extend_theory` to a side grown by one
+bonus element.
 """
 
 from __future__ import annotations
@@ -446,31 +448,20 @@ FIX_STATES = "fix-states"
 
 
 def complete(g: Gpt, mode: str) -> Gpt:
-    """The canonical extension satisfying the no-restriction property.
-
-    fix-effects keeps the effect generators and replaces the states by the
-    full dual slice; fix-states keeps the states and replaces the effects by
-    the dual order interval's cone.  The kept side is reduced to its extreme
-    generators (labels of survivors are preserved).
-    """
+    """The canonical extension satisfying the no-restriction property: the
+    `closed_theory` of g's effect cone and its effects reduced in ray order
+    (fix-effects), or of g's state cone and its pure states in input order
+    (fix-states).  Labels of kept generators are preserved."""
     require_valid(g)
     if mode == FIX_EFFECTS:
-        completed = closed_theory(
-            g,
-            reduce_named(g.effects(), effect_cone(g).rays),
-            [(f"d{i + 1}", p) for i, p in enumerate(max_state_points(g))],
-            f"{g.name}.completed-states" if g.name else "completed-states",
-        )
+        cone = effect_cone(g)
+        kept = reduce_named(g.effects(), cone.rays)
+        suffix = "completed-states"
     elif mode == FIX_STATES:
-        atoms = close_effects(state_cone(g), g.state_vectors)
-        completed = closed_theory(
-            g,
-            [(f"f{i + 1}", a) for i, a in enumerate(atoms)],
-            pure_states(g),
-            f"{g.name}.completed-effects" if g.name else "completed-effects",
-        )
+        cone, kept, suffix = state_cone(g), pure_states(g), "completed-effects"
     else:
         raise InputError(f"unknown completion mode {mode!r}; use {FIX_EFFECTS} or {FIX_STATES}")
+    completed = closed_theory(g, mode, cone, kept, f"{g.name}.{suffix}" if g.name else suffix)
     # the no-restriction flag is only asserted because this check passes
     if not no_restriction_check(completed).holds:
         raise InternalCheckError("completion failed its own duality check")
@@ -478,20 +469,27 @@ def complete(g: Gpt, mode: str) -> Gpt:
 
 
 def closed_theory(
-    g: Gpt,
-    effects: Sequence[tuple[str, Vec]],
-    states: Sequence[tuple[str, Vec]],
-    name: str,
+    g: Gpt, mode: str, cone: Cone, kept: Sequence[tuple[str, Vec]], name: str
 ) -> Gpt:
-    """A theory on g's space and unit with the given generators, asserting
-    the no-restriction property (callers check it).  Of g's measurements it
-    keeps those whose outcomes are all still present with the same label and
-    vector; any other would name an effect the new theory lacks."""
-    kept = dict(effects)
+    """The one dual closure, behind `complete` and `resources.extend_theory`:
+    a theory on g's space and unit whose fixed side is `kept`, the named
+    reduced generators of `cone`, and whose other side is all `cone` allows:
+    the extreme points `d1, d2, ...` of its dual slice (fix-effects) or the
+    atoms `f1, f2, ...` of its dual order interval, scaled against the kept
+    states (fix-states).  It asserts the no-restriction property (callers
+    check it) and keeps those of g's measurements whose outcomes are all
+    still present with the same label and vector."""
+    if mode == FIX_EFFECTS:
+        points = close_states(cone, g.unit)
+        effects, states = kept, [(f"d{i + 1}", p) for i, p in enumerate(points)]
+    else:
+        atoms = close_effects(cone, [v for _, v in kept])
+        effects, states = [(f"f{i + 1}", a) for i, a in enumerate(atoms)], kept
+    by_label = dict(effects)
     pvvms = tuple(
         p
         for p in g.pvvms
-        if all(kept.get(label) == g.effect(label) for label in p.outcome_labels)
+        if all(by_label.get(label) == g.effect(label) for label in p.outcome_labels)
     )
     return Gpt(
         dim=g.dim,
@@ -509,21 +507,15 @@ def closed_theory(
 def reduce_named(
     named: Sequence[tuple[str, Vec]], extreme: Sequence[Vec]
 ) -> list[tuple[str, Vec]]:
-    """Keep one named generator per extreme ray (the first matching), so a
-    redundant input list comes back reduced with its labels intact."""
-    out = []
-    used = set()
-    for ray in extreme:
-        for label, v in named:
-            if label in used:
-                continue
-            if integerize(v) == ray:
-                out.append((label, v))
-                used.add(label)
-                break
-        else:
-            out.append((f"r{len(out) + 1}", ray))
-    return out
+    """One named generator per extreme ray of the cone the generators span,
+    the first whose canonical vector is that ray, so a redundant input list
+    comes back reduced with its labels intact.  Every ray of that cone is
+    the canonical form of some generator, so a ray with no match is a fault
+    and raises."""
+    first: dict[Vec, tuple[str, Vec]] = {}
+    for label, v in named:
+        first.setdefault(integerize(v), (label, v))
+    return [first[ray] for ray in extreme]
 
 
 # ---------------------------------------------------------------------------
@@ -550,19 +542,20 @@ def nonrefinable_effects(g: Gpt) -> tuple[tuple[str, Vec], ...]:
     admit no split into two nonzero, non-proportional effects.
 
     Each is the maximal scaling of an extreme ray inside the order interval
-    [0, U], read off the effect cone's facets.  No other vertex of [0, U]
-    can be one: a vertex off the extreme rays has a conic expansion with at
-    least two positive terms, and for `part = coef * ray` one of them, both
-    `part` and `vertex - part` lie in the cone while
-    `U - part = (U - vertex) + (vertex - part)` does too, so the vertex
-    splits into two effects that are not proportional to it.
+    [0, U], `scale_to_effect_interval` against the maximal state points.
+    Those are the facet normals n of the effect cone divided by <n, U>,
+    which is positive in a valid theory (the effects span and complements
+    close, so U is interior), so the scaling is the facet bound: the least
+    <n, U> / <n, ray> over the facets with <n, ray> > 0.  No other
+    vertex of [0, U] can be nonrefinable: a vertex off the extreme rays has
+    a conic expansion with at least two positive terms, and for
+    `part = coef * ray` one of them, both `part` and `vertex - part` lie in
+    the cone while `U - part = (U - vertex) + (vertex - part)` does too, so
+    the vertex splits into two effects that are not proportional to it.
     """
-    ec = effect_cone(g)
+    points = max_state_points(g)
     out = []
-    for i, ray in enumerate(ec.rays):
-        bounds = [inner(n, g.unit) / inner(n, ray) for n in ec.facets if inner(n, ray) > 0]
-        if not bounds:
-            raise TheoryConsistencyError("effect cone has an unbounded order interval")
-        atom = vec_scale(min(bounds), ray)
+    for i, ray in enumerate(effect_cone(g).rays):
+        atom = scale_to_effect_interval(ray, points)
         out.append((next((l for l, v in g.effects() if v == atom), f"nr{i + 1}"), atom))
     return tuple(out)

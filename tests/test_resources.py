@@ -1,13 +1,16 @@
 import re
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gptlab import catalog
 from gptlab.cones import cones_equal
 from gptlab.errors import InputError
-from gptlab.linalg import vec
+from gptlab.linalg import vec, vec_sub
 from gptlab.resources import (
     CLASSICAL,
     DIMENSION_RAISING,
@@ -17,7 +20,11 @@ from gptlab.resources import (
     extend_theory,
 )
 from gptlab.theory import (
+    FIX_EFFECTS,
+    FIX_STATES,
     BonusElement,
+    build_gpt,
+    complete,
     effect_cone,
     no_restriction_check,
     state_cone,
@@ -158,3 +165,65 @@ def test_random_equivalence_audit(trit):
             assert any("diverge" in w for w in verdict.warnings)
         else:
             assert held == [held[0]] * 4
+
+
+# an extension is the completion of host plus bonus: extend_theory grows one
+# side and closes it, which is what complete does to the raw theory holding
+# the grown side, whenever that raw theory is valid
+
+QUARTERS = [Fraction(n, 4) for n in range(-2, 7)]  # -1/2 .. 3/2
+
+
+def raw_theory(host, b):
+    """host plus b, and unit - b for an effect, with no no-restriction claim."""
+    effects, states = host.effects(), host.states()
+    if b.kind == "effect":
+        effects += ((b.label, b.vector), (f"{b.label}_c", vec_sub(host.unit, b.vector)))
+    else:
+        states += ((b.label, b.vector),)
+    return build_gpt(host.dim, host.unit, effects, states, False, host.pvvms)
+
+
+def check_extension_is_completion(host, b):
+    """Compare when the raw theory validates; returns whether it did."""
+    raw = raw_theory(host, b)
+    if not validate(raw).ok:
+        return False
+    extended = extend_theory(host, b).theory
+    completed = complete(raw, FIX_EFFECTS if b.kind == "effect" else FIX_STATES)
+    assert sorted(extended.effect_vectors) == sorted(completed.effect_vectors)
+    assert sorted(extended.state_vectors) == sorted(completed.state_vectors)
+    assert set(extended.effect_names) == set(completed.effect_names)
+    assert set(extended.state_names) == set(completed.state_names)
+    assert extended.pvvms == completed.pvvms
+    if b.kind == "effect":
+        assert extended.effect_vectors == completed.effect_vectors
+    return True
+
+
+def grid_bonuses(host):
+    """Every normalised vector with quarter-step coordinates in [-1/2, 3/2]
+    but the last, once as a bonus effect and once as a bonus state."""
+    for head in product(QUARTERS, repeat=host.dim - 1):
+        v = head + (1 - sum(head),)
+        for kind in ("effect", "state"):
+            yield BonusElement(kind, "b", v)
+
+
+@pytest.mark.parametrize("name", ["classical_trit", "spekkens_container"])
+def test_extension_is_completion_of_host_plus_bonus_on_the_grid(name):
+    host = catalog.get(name)
+    checked = [check_extension_is_completion(host, b) for b in grid_bonuses(host)]
+    # every bonus in the order interval (state simplex) gives a valid raw
+    # theory: 15 per kind on the trit, 35 per kind on the container
+    assert sum(checked) == {"classical_trit": 30, "spekkens_container": 70}[name]
+
+
+COORDINATES = st.fractions(min_value=Fraction(-1, 4), max_value=Fraction(5, 4), max_denominator=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["effect", "state"]), st.tuples(COORDINATES, COORDINATES))
+def test_extension_is_completion_of_host_plus_bonus_on_draws(kind, head):
+    host = catalog.get("classical_trit")
+    check_extension_is_completion(host, BonusElement(kind, "b", (*head, 1 - sum(head))))
