@@ -8,6 +8,15 @@ cone with lines keeps its given generators in that form, deduplicated.
 Lines of the dual enter the facet list as pairs of opposite normals, that
 is, as equality constraints.
 
+Cones are memoized by their canonical generator set: `_reduce` keeps each
+(rays, facets) pair in one LRU bounded by `_MEMO_SIZE` entries.  Both lists
+are canonical, so a run is also recorded under its reduced rays, since a
+cone rebuilt from them is the same cone, and, for a pointed cone, under its
+facets with the pair swapped: the facet normals of a pointed cone are the
+extreme rays of its dual (Fukuda & Prodon 1996), so the dual comes from the
+same run.  A cone with lines gets no such entry; a run over its facets
+returns its lineality and rays, not its generators.
+
 Yes/no questions are answered from the two representations, with no LP: a
 generator of a pointed cone is extreme iff the facets tight at it have rank
 dim - 1, and `contains` is a sign test over the facets.
@@ -19,6 +28,8 @@ or a separating functional, re-verified before being handed out.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -134,9 +145,24 @@ def _tight_rank(v: Vec, normals: Sequence[Vec]) -> int:
     return rank(tight) if tight else 0
 
 
-def _reduce(vectors: Iterable[Vec], dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+_Key = tuple[int, tuple[Vec, ...]]  # (dim, sorted canonical generators)
+_Pair = tuple[tuple[Vec, ...], tuple[Vec, ...]]  # (rays, facets)
+
+_memo: OrderedDict[_Key, _Pair] = OrderedDict()  # least recently used first
+_memo_lock = threading.Lock()  # lookups reorder the memo, so threads share it
+_MEMO_SIZE = 16
+
+
+def _remember(key: _Key, pair: _Pair) -> None:
+    _memo[key] = pair
+    _memo.move_to_end(key)
+    if len(_memo) > _MEMO_SIZE:
+        _memo.popitem(last=False)
+
+
+def _reduce(vectors: Iterable[Vec], dim: int) -> _Pair:
     """Canonical generators of cone(vectors) and its facet normals, from one
-    double description.
+    double description, memoized by the canonical generator set.
 
     The facets are the rays of the dual, each of its lines entering as the
     pair +l, -l; they have rank dim iff the cone is pointed.  A pointed cone
@@ -152,11 +178,22 @@ def _reduce(vectors: Iterable[Vec], dim: int) -> tuple[tuple[Vec, ...], tuple[Ve
         cv = integerize(v)
         if not is_zero_vec(cv):
             seen.setdefault(cv, None)
-    current = sorted(seen)
+    key = (dim, tuple(sorted(seen)))
+    with _memo_lock:
+        pair = _memo.get(key)
+        if pair is not None:
+            _memo.move_to_end(key)
+            return pair
+    current = key[1]
     facets = _generators(*double_description(current, dim))
-    if facets and rank(facets) == dim:
-        current = [v for v in current if _tight_rank(v, facets) == dim - 1]
-    return tuple(current), facets
+    pointed = bool(facets) and rank(facets) == dim
+    rays = tuple(v for v in current if _tight_rank(v, facets) == dim - 1) if pointed else current
+    with _memo_lock:
+        _remember(key, (rays, facets))
+        _remember((dim, rays), (rays, facets))
+        if pointed:
+            _remember((dim, facets), (facets, rays))
+    return rays, facets
 
 
 def reduce_generators(vectors: Iterable[Vec]) -> tuple[Vec, ...]:

@@ -19,7 +19,7 @@ bonus element.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -79,6 +79,16 @@ class Gpt:
     pvvms: tuple[Pvvm, ...] = ()
     bonus: tuple["BonusElement", ...] = ()  # parsed alongside, used by resources
     name: str = ""
+
+    def __hash__(self) -> int:
+        # the hash of the field values, computed once: every per-theory
+        # memo hashes its key on each lookup, and that walks every Fraction;
+        # kept outside the fields, so equality and repr do not see it
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def effects(self) -> tuple[tuple[str, Vec], ...]:
         return tuple(zip(self.effect_names, self.effect_vectors))
@@ -177,6 +187,10 @@ def build_gpt(
 # bounded by _MEMO_SIZE theories, so a sweep over extended theories holds a
 # fixed number of them while the host, used by every operation, stays
 # cached.  The cached results are immutable values shared by all callers.
+# Under these memos, `cones` memoizes each cone by its canonical generator
+# set and serves a pointed cone's dual from the same run, so the cones of a
+# completion or an extension, built once by `closed_theory`'s caller, cost
+# no second double description here.
 
 _MEMO_SIZE = 8
 

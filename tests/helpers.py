@@ -20,7 +20,7 @@ from itertools import combinations
 from random import Random
 from unittest.mock import patch
 
-from gptlab import linalg, lp
+from gptlab import cones, linalg, lp
 from gptlab.cones import Cone, double_description, member_cone, member_convex
 from gptlab.contextuality import (
     NONE_FOUND_CAVEAT,
@@ -347,8 +347,10 @@ def checked_pivot():
 
 
 def clear_theory_caches():
-    """Empty every memo in gptlab, the per-theory caches and those of
-    `validate` and `classify` included, so the next call of each runs cold."""
+    """Empty every memo in gptlab, the per-theory caches, those of
+    `validate` and `classify` and the cone memo of `cones._reduce` included,
+    so the next call of each runs cold."""
+    cones._memo.clear()
     for name, module in list(sys.modules.items()):
         if name == "gptlab" or name.startswith("gptlab."):
             for f in vars(module).values():

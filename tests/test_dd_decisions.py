@@ -4,7 +4,9 @@ The fast paths (extremality from tight facets, facet-sign membership, ray
 set differences, nonrefinable effects from per-ray scaling) are checked
 against their LP definitions in `helpers`, and the bundled theories pin how
 many LPs and double descriptions each decision may run.  An LP runs only
-where it backs a certificate.
+where it backs a certificate.  The cone memo rests on two identities,
+checked here on cold runs: a cone rebuilt from its rays is the same cone,
+and a pointed cone rebuilt from its facets is its dual.
 """
 
 import ast
@@ -21,19 +23,29 @@ from hypothesis import strategies as st
 import gptlab
 from gptlab import catalog, cones, lp
 from gptlab.cli import run
-from gptlab.cones import cone_from_facets, cone_from_rays, contains, is_simplicial, member_cone, reduce_generators
+from gptlab.cones import (
+    cone_from_facets,
+    cone_from_rays,
+    contains,
+    dual_cone,
+    is_simplicial,
+    member_cone,
+    reduce_generators,
+)
 from gptlab.contextuality import classify, interior_state_functional
 from gptlab.errors import InputError
-from gptlab.linalg import inner, vec, vec_scale, vec_sub
+from gptlab.linalg import basis_vec, inner, rank, vec, vec_scale, vec_sub, vec_sum
 from gptlab.theory import (
     FIX_EFFECTS,
     FIX_STATES,
     build_gpt,
     complete,
+    effect_cone,
     in_effect_set,
     no_restriction_check,
     nonrefinable_effects,
     pure_states,
+    state_cone,
     validate,
 )
 
@@ -250,6 +262,7 @@ def test_only_certificates_call_the_lp():
 
 
 def test_cone_facets_come_from_the_reduction_run(monkeypatch):
+    clear_theory_caches()
     runs = []
     dd = cones.double_description
 
@@ -333,4 +346,113 @@ def test_classify_with_warm_caches_runs_no_double_description(name, mode, monkey
 
     monkeypatch.setattr(cones, "double_description", counting)
     classify(g)
+    assert runs == []
+
+
+def as_tuple(c):
+    return (c.dim, c.rays, c.facets)
+
+
+def cold_cone_from_rays(gens, dim):
+    clear_theory_caches()
+    return cone_from_rays(gens, dim)
+
+
+def check_memo_identities(gens, dim):
+    """Every pair one cold reduction records equals a cold reduction of its
+    key; the rays give the cone back, and only a pointed cone's facets are
+    recorded, as its dual."""
+    c = cold_cone_from_rays(gens, dim)
+    recorded = dict(cones._memo)
+    for (d, key), pair in recorded.items():
+        assert (d, *pair) == as_tuple(cold_cone_from_rays(key, d))
+    assert as_tuple(cold_cone_from_rays(c.rays, dim)) == as_tuple(c)
+    pointed = is_pointed(c)
+    if pointed:
+        assert as_tuple(cold_cone_from_rays(c.facets, dim)) == as_tuple(dual_cone(c))
+    assert ((dim, c.facets) in recorded) == pointed
+    return c
+
+
+@pytest.mark.parametrize("mode", [None, FIX_EFFECTS, FIX_STATES])
+@pytest.mark.parametrize("name", catalog.bundled_names())
+def test_bundled_cones_rebuild_from_rays_and_facets(name, mode):
+    g = catalog.get(name)
+    if mode is not None:
+        g = complete(g, mode)
+    assert check_memo_identities(g.effect_vectors, g.dim) == effect_cone(g)
+    assert check_memo_identities(g.state_vectors, g.dim) == state_cone(g)
+
+
+def independent_vectors(rng: Random, k: int, dim: int):
+    while True:
+        rows = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(dim)) for _ in range(k)]
+        if rank(rows) == k:
+            return rows
+
+
+def pointed_generators(rng: Random, dim: int, k: int):
+    """A pointed cone spanning a random k-dimensional subspace: nonnegative
+    combinations of k independent vectors, each with the first one in it."""
+    basis = independent_vectors(rng, k, dim)
+    gens = []
+    for _ in range(rng.randint(1, k + 3)):
+        coefficients = [rng.randint(1, 3)] + [rng.randint(0, 2) for _ in range(k - 1)]
+        gens.append(vec_sum([vec_scale(a, b) for a, b in zip(coefficients, basis)], dim))
+    return gens
+
+
+def generators_with_lines(rng: Random, dim: int):
+    gens = random_generators(rng, dim)
+    line = tuple(Fraction(rng.randint(-2, 2)) for _ in range(dim))
+    if not any(line):
+        line = basis_vec(rng.randrange(dim), dim)
+    return gens + [line, vec_scale(-1, line)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.integers(min_value=2, max_value=4))
+def test_memo_identities_on_pointed_cones(seed, dim):
+    c = check_memo_identities(pointed_generators(Random(seed), dim, dim), dim)
+    assert is_pointed(c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.integers(min_value=2, max_value=4))
+def test_memo_identities_on_lower_dimensional_cones(seed, dim):
+    rng = Random(seed)
+    c = check_memo_identities(pointed_generators(rng, dim, rng.randint(1, dim - 1)), dim)
+    assert is_pointed(c) and not is_full_dimensional(c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.integers(min_value=1, max_value=4))
+def test_memo_identities_on_cones_with_lines(seed, dim):
+    c = check_memo_identities(generators_with_lines(Random(seed), dim), dim)
+    assert not is_pointed(c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.integers(min_value=1, max_value=4))
+def test_memo_identities_on_random_cones(seed, dim):
+    check_memo_identities(random_generators(Random(seed), dim), dim)
+
+
+@pytest.mark.parametrize("mode", [FIX_EFFECTS, FIX_STATES])
+@pytest.mark.parametrize("name", catalog.bundled_names())
+def test_completion_cones_cost_no_double_description(name, mode, monkeypatch):
+    g = catalog.get(name)
+    clear_theory_caches()
+    validate(g)
+    runs = []
+    dd = cones.double_description
+
+    def counting(*args):
+        runs.append(args)
+        return dd(*args)
+
+    monkeypatch.setattr(cones, "double_description", counting)
+    completed = complete(g, mode)
+    effect_cone(completed)
+    state_cone(completed)
     assert runs == []

@@ -3,26 +3,38 @@
 `validate` and `classify` run once per distinct theory in a process, so a
 `classify-resource` sweep decides its host once; every per-theory memo in
 `theory` and `contextuality` shares one bound, so a sweep over many
-extended theories holds a fixed number of them.
+extended theories holds a fixed number of them.  Under them, `cones`
+memoizes each cone by its canonical generators within its own bound, so an
+extension costs one double description.  A theory hashes by value and
+computes that hash once.
 """
 
 import io
+import os
+import sys
+import threading
 from collections import Counter
 from contextlib import redirect_stdout
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from unittest.mock import patch
 
-from gptlab import catalog, contextuality, theory
+import pytest
+
+from gptlab import catalog, cones, contextuality, theory
 from gptlab.cli import run
+from gptlab.cones import cone_from_rays
 from gptlab.contextuality import classify
-from gptlab.resources import classify_bonus
+from gptlab.linalg import vec
+from gptlab.resources import classify_bonus, extend_theory
 from gptlab.theory import BonusElement, validate
+from gptlab.theoryfile import serialize, parse_text
 
 from helpers import clear_theory_caches
 
-# ten bonuses on the trit; the last two states lie inside the simplex, so
-# both extend it to the same theory
+# ten bonuses on the trit; the first effect and the first state expel a
+# generator, and the last two states lie inside the simplex, so both extend
+# it to the same theory
 SWEEP = [
     ("effect", "3/2,0,-1/2"),
     ("effect", "3/2,-1/2,0"),
@@ -82,3 +94,80 @@ def test_every_memo_shares_one_bound_and_stays_within_it():
     assert classify.cache_info().misses == extra + 1
     assert all(f.cache_info().currsize <= theory._MEMO_SIZE for f in fs)
     assert validate.cache_info().currsize == theory._MEMO_SIZE
+
+
+def test_classify_resource_sweep_runs_one_double_description_per_operation(monkeypatch):
+    clear_theory_caches()
+    host = catalog.get("classical_trit")
+    classify(host)
+    runs = []
+    dd = cones.double_description
+
+    def counting(*args):
+        runs.append(args)
+        return dd(*args)
+
+    monkeypatch.setattr(cones, "double_description", counting)
+    with redirect_stdout(io.StringIO()):
+        for kind, text in SWEEP:
+            run(["classify-resource", "classical_trit", f"--{kind}={text}", "--verify"])
+    # the extended cone is built once; the extension's own effect and state
+    # cones are that cone and its dual, served from the same run
+    assert len(runs) == len(SWEEP)
+    for kind, text in (SWEEP[0], SWEEP[5]):
+        assert extend_theory(host, BonusElement(kind, "b", vec(*text.split(",")))).expelled
+
+
+def test_cone_memo_stays_within_its_bound():
+    clear_theory_caches()
+    extra = 2 * cones._MEMO_SIZE
+    for k in range(extra):
+        cone_from_rays([vec(1, 0, 0), vec(0, 1, 0), vec(k, 1, 1)], 3)
+        assert len(cones._memo) <= cones._MEMO_SIZE
+    assert len(cones._memo) == cones._MEMO_SIZE
+    # least recently used first out: the last cone is still a hit
+    assert (3, tuple(sorted([vec(0, 1, 0), vec(1, 0, 0), vec(extra - 1, 1, 1)]))) in cones._memo
+
+
+@pytest.mark.parametrize("name", catalog.bundled_names())
+def test_theories_hash_by_value_once(name):
+    text = serialize(catalog.get(name))
+    a, b = parse_text(text), parse_text(text)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert hash(a) == hash(tuple(getattr(a, f.name) for f in fields(a)))
+    renamed = replace(a, name="renamed")
+    assert renamed != a and hash(renamed) == hash(replace(b, name="renamed"))
+    assert hash(renamed) == hash(tuple(getattr(renamed, f.name) for f in fields(renamed)))
+    assert len({a, b, renamed}) == 2
+    # the cached hash is no field: equality, repr and fields ignore it
+    assert [f.name for f in fields(a)] == [f.name for f in fields(theory.Gpt)]
+    assert repr(a) == repr(b) and "_hash" not in repr(a)
+
+
+def test_cone_memo_is_safe_to_share_between_threads():
+    pool = [[vec(1, 0, 0), vec(0, 1, 0), vec(k, 1, 1), vec(1, k, 2)] for k in range(2 * cones._MEMO_SIZE)]
+    clear_theory_caches()
+    expected = [cones._reduce(gens, 3) for gens in pool]
+    errors = []
+
+    def work(offset):
+        try:
+            for i in range(4 * len(pool)):
+                k = (offset + 7 * i) % len(pool)
+                assert cones._reduce(pool[k], 3) == expected[k]
+        except Exception as exc:  # reported below, from the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range((os.cpu_count() or 1) + 2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(cones._memo) <= cones._MEMO_SIZE
