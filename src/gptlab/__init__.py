@@ -42,7 +42,6 @@ from .errors import (
 )
 from .linalg import (
     Mat,
-    Rational,
     Vec,
     dual_basis,
     inner,

@@ -65,6 +65,10 @@ def _open_report(title: str, g: Gpt) -> tuple[Report, bool]:
     return report, rep.ok
 
 
+def _verdict(noncontextual: bool) -> str:
+    return "ontologically noncontextual" if noncontextual else "ontologically contextual"
+
+
 def _finite_model(lp_result) -> str:
     """Whether `embed_lp` found a model, in the words both reports use."""
     if lp_result.found:
@@ -76,7 +80,7 @@ def _no_restriction_section(report: Report, g: Gpt):
     check = no_restriction_check(g)
     s = report.section("no_restriction")
     s.add("holds", check.holds)
-    s.add("maximal state extreme points", vector_list(check.max_state_points))
+    s.add("maximal state extreme points", vector_list(max_state_points(g)))
     if check.state_witnesses:
         s.add("missing states", vector_list(check.state_witnesses))
         for w in check.state_witnesses:
@@ -110,10 +114,7 @@ def _classification_section(report: Report, g: Gpt, heading: str = "classificati
     s.add("nonrefinable effects", ", ".join(verdict.nonrefinable_labels))
     s.add("pure states simplicial", verdict.states_simplicial)
     s.add("nonrefinable effects simplicial", verdict.effects_simplicial)
-    s.add(
-        "verdict",
-        "ontologically noncontextual" if verdict.noncontextual else "ontologically contextual",
-    )
+    s.add("verdict", _verdict(verdict.noncontextual))
     if verdict.noncontextual:
         _model_entries(report, s, g, verdict.model, "point-mass model")
     else:
@@ -241,27 +242,17 @@ def analyze_report(g: Gpt) -> Report:
     _indistinguishability_section(report, g, lp_result.model)
 
     conclusion = report.section("conclusion")
-    if check.holds:
+    conclusion.add("theory verdict", _verdict(exact.found))
+    if not check.holds:
         conclusion.add(
-            "theory verdict",
-            "ontologically noncontextual" if exact.found else "ontologically contextual",
+            "reason",
+            "a same-dimension model exists: the theory restricts a "
+            "simplicial theory of equal dimension"
+            if exact.found
+            else "no same-dimension model in the candidate class; any model "
+            "needs more ontic points than dimensions and then violates "
+            "preparation noncontextuality (see indistinguishability)",
         )
-    else:
-        if exact.found:
-            conclusion.add("theory verdict", "ontologically noncontextual")
-            conclusion.add(
-                "reason",
-                "a same-dimension model exists: the theory restricts a "
-                "simplicial theory of equal dimension",
-            )
-        else:
-            conclusion.add("theory verdict", "ontologically contextual")
-            conclusion.add(
-                "reason",
-                "no same-dimension model in the candidate class; any model "
-                "needs more ontic points than dimensions and then violates "
-                "preparation noncontextuality (see indistinguishability)",
-            )
         conclusion.add("unbounded-cardinality embedding", _finite_model(lp_result))
     return report
 

@@ -17,9 +17,9 @@ extreme rays of its dual (Fukuda & Prodon 1996), so the dual comes from the
 same run.  A cone with lines gets no such entry; a run over its facets
 returns its lineality and rays, not its generators.
 
-Yes/no questions are answered from the two representations, with no LP: a
-generator of a pointed cone is extreme iff the facets tight at it have rank
-dim - 1, and `contains` is a sign test over the facets.
+Yes/no questions are answered from the two representations, with no LP
+and no rank: extremality is inclusion of the generators' tight facet sets
+(see `_reduce`), and `contains` is a sign test over the facets.
 
 The exact simplex in `lp` serves only `member_cone` and `member_convex`,
 whose answer is a certificate that gets printed or consumed: an expansion
@@ -140,11 +140,6 @@ def _generators(lineality: Sequence[Vec], rays: Sequence[Vec]) -> tuple[Vec, ...
 # generator reduction
 
 
-def _tight_rank(v: Vec, normals: Sequence[Vec]) -> int:
-    tight = [n for n in normals if inner(n, v) == 0]
-    return rank(tight) if tight else 0
-
-
 _Key = tuple[int, tuple[Vec, ...]]  # (dim, sorted canonical generators)
 _Pair = tuple[tuple[Vec, ...], tuple[Vec, ...]]  # (rays, facets)
 
@@ -165,11 +160,15 @@ def _reduce(vectors: Iterable[Vec], dim: int) -> _Pair:
     double description, memoized by the canonical generator set.
 
     The facets are the rays of the dual, each of its lines entering as the
-    pair +l, -l; they have rank dim iff the cone is pointed.  A pointed cone
-    keeps the generators whose tight facets have rank dim - 1, its extreme
-    rays (Fukuda & Prodon 1996); equality pairs count among the tight
-    facets, so this holds in lower dimension too.  A cone with lines keeps
-    its sorted, deduplicated canonical generators.
+    pair +l, -l; equality pairs count among the facets tight at a
+    generator.  The facets tight at v cut out v's minimal face, which is
+    generated by the generators tight wherever v is.  So the cone has lines
+    iff a generator is tight at every facet (the lineality space is a
+    face), and a generator of a pointed cone is extreme iff no generator's
+    tight set strictly contains its own, since a face of dimension two or
+    more holds an extreme ray with a smaller minimal face (Fukuda & Prodon
+    1996).  A pointed cone keeps its extreme rays, a cone with lines its
+    sorted, deduplicated canonical generators.
     """
     seen: dict[Vec, None] = {}
     for v in vectors:
@@ -186,8 +185,11 @@ def _reduce(vectors: Iterable[Vec], dim: int) -> _Pair:
             return pair
     current = key[1]
     facets = _generators(*double_description(current, dim))
-    pointed = bool(facets) and rank(facets) == dim
-    rays = tuple(v for v in current if _tight_rank(v, facets) == dim - 1) if pointed else current
+    tight = [frozenset(i for i, n in enumerate(facets) if inner(n, v) == 0) for v in current]
+    pointed = all(len(t) < len(facets) for t in tight)
+    rays = current
+    if pointed:
+        rays = tuple(v for v, t in zip(current, tight) if not any(t < u for u in tight))
     with _memo_lock:
         _remember(key, (rays, facets))
         _remember((dim, rays), (rays, facets))

@@ -165,9 +165,6 @@ class NonUniqueDecomposition:
     decomposition_2: tuple[tuple[str, Fraction], ...]
     dependent_label: str
     expansion: tuple[tuple[str, Fraction], ...]  # the affine coefficients alpha
-    negative_labels: tuple[str, ...]
-    positive_labels: tuple[str, ...]
-    positive_weight: Fraction  # N, the normalising sum over the positive part
     generators: tuple[tuple[str, Vec], ...]  # slice-normalised family
 
     def verify(self) -> bool:
@@ -240,9 +237,6 @@ def nonunique_decomposition(
             decomposition_2=dec2,
             dependent_label=j_label,
             expansion=tuple((l, c) for (l, _), c in zip(rest, alpha)),
-            negative_labels=tuple(l for l, _ in neg),
-            positive_labels=tuple(l for l, _ in pos),
-            positive_weight=n_weight,
             generators=tuple(scaled),
         )
         if not witness.verify():

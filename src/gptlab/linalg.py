@@ -22,7 +22,6 @@ from typing import Iterable, Sequence, Union
 
 from .errors import DimensionMismatch, InputError
 
-Rational = Fraction
 Scalar = Union[int, str, Fraction]
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]

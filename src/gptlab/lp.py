@@ -1,16 +1,16 @@
 """Exact-rational feasibility LP.
 
-Membership certificates, simplex embeddings and the generator reduction
-of cones with lines reduce to one question: does { x >= 0 : A x = b }
-contain a point?  This module answers it with a primal Phase-I simplex
-using Bland's rule, which terminates without cycling and needs no
-tolerance parameter.  The tableau is an integer matrix over
-one positive common denominator, the basis determinant, pivoted
-fraction-free by `linalg.pivot` (integer pivoting as in Avis's lrs);
-Fractions appear only in the returned point or certificate.  Infeasibility
-comes with an exact Farkas vector y satisfying <y, col> <= 0 for every
-column of A and <y, b> > 0; both branches are re-verified before being
-returned.
+Membership certificates (`cones.member_cone`, `cones.member_convex`) and
+simplex embeddings (`contextuality.embed_lp`) reduce to one question: does
+{ x >= 0 : A x = b } contain a point?  This module answers it with a
+primal Phase-I simplex using Bland's rule, which terminates without
+cycling and needs no tolerance parameter.  The tableau is an integer
+matrix over one positive common denominator, the basis determinant,
+pivoted fraction-free by `linalg.pivot` (integer pivoting as in Avis's
+lrs); Fractions appear only in the returned point or certificate.
+Infeasibility comes with an exact Farkas vector y satisfying <y, col> <= 0
+for every column of A and <y, b> > 0; both branches are re-verified before
+being returned.
 """
 
 from __future__ import annotations

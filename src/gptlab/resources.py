@@ -58,7 +58,6 @@ class ConditionReport:
 @dataclass(frozen=True)
 class ExtensionOutcome:
     theory: Gpt
-    added_labels: tuple[str, ...]
     expelled: tuple[tuple[str, Vec], ...]  # old generators no longer valid
     warnings: tuple[str, ...]
 
@@ -137,8 +136,6 @@ def extend_theory(g: Gpt, b: BonusElement) -> ExtensionOutcome:
             f"bonus effect {b.label!r} empties the state set; evidence: -unit = {terms}"
         )
     expelled = tuple((label, v) for label, v in other if not (0 <= inner(b.vector, v) <= 1))
-    fixed_labels = {label for label, _ in fixed}
-    added = tuple(label for label, _ in kept if label not in fixed_labels)
 
     # closed_theory asserts no-restriction, so validation also checks duality
     require_valid(extended)
@@ -148,9 +145,7 @@ def extend_theory(g: Gpt, b: BonusElement) -> ExtensionOutcome:
             "previously valid generators were expelled by the bonus element: "
             + ", ".join(label for label, _ in expelled),
         )
-    return ExtensionOutcome(
-        theory=extended, added_labels=added, expelled=expelled, warnings=warnings
-    )
+    return ExtensionOutcome(theory=extended, expelled=expelled, warnings=warnings)
 
 
 def classify_bonus(g: Gpt, b: BonusElement) -> ResourceVerdict:
@@ -190,13 +185,22 @@ def classify_bonus(g: Gpt, b: BonusElement) -> ResourceVerdict:
     extended = outcome.theory
     warnings = list(outcome.warnings)
 
+    if b.kind == "effect":
+        cone = effect_cone(extended)
+        family = nonrefinable_effects(extended)
+        normalizer = interior_state_functional(extended)
+        inside = in_effect_set(g, b.vector)
+        side_name = "effect set"
+    else:
+        cone = state_cone(extended)
+        family = pure_states(extended)
+        normalizer = g.unit
+        inside = in_state_set(g, b.vector)
+        side_name = "state set"
+
     # premise check: the bonus measurement is nonrefinable iff its effect
     # sits on an extreme ray of the extended cone (dually for states)
-    if b.kind == "effect":
-        on_extreme = any(integerize(b.vector) == r for r in effect_cone(extended).rays)
-    else:
-        on_extreme = any(integerize(b.vector) == r for r in state_cone(extended).rays)
-    if not on_extreme:
+    if integerize(b.vector) not in cone.rays:
         warnings.append(
             f"bonus {b.kind} {b.label!r} is not extremal in the extended theory: "
             "the single-nonrefinable-element premise is unmet; conditions are "
@@ -216,17 +220,6 @@ def classify_bonus(g: Gpt, b: BonusElement) -> ResourceVerdict:
         "recorded as definitionally identical to (i): a nonclassical resource is "
         "one whose extension is ontologically contextual",
     )
-
-    if b.kind == "effect":
-        family = nonrefinable_effects(extended)
-        normalizer = interior_state_functional(extended)
-        inside = in_effect_set(g, b.vector)
-        side_name = "effect set"
-    else:
-        family = pure_states(extended)
-        normalizer = g.unit
-        inside = in_state_set(g, b.vector)
-        side_name = "state set"
 
     witness = nonunique_decomposition(family, normalizer)
     cond_iii = ConditionReport(

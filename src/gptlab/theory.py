@@ -290,9 +290,6 @@ class ProbabilityTable:
     col_labels: tuple[str, ...]
     entries: Mat
 
-    def row(self, label: str) -> Vec:
-        return self.entries[self.row_labels.index(label)]
-
 
 def probability_table(
     states: Sequence[tuple[str, Vec]], effects: Sequence[tuple[str, Vec]]
@@ -417,8 +414,6 @@ class NoRestrictionResult:
     holds: bool
     state_witnesses: tuple[Vec, ...]  # allowed-by-effects states missing from the state set
     effect_witnesses: tuple[Vec, ...]  # allowed-by-states effects missing from the effect set
-    max_state_points: tuple[Vec, ...]
-    max_effect_rays: tuple[Vec, ...]
 
 
 def no_restriction_check(g: Gpt) -> NoRestrictionResult:
@@ -433,23 +428,19 @@ def no_restriction_check(g: Gpt) -> NoRestrictionResult:
     the larger set lies in the smaller one iff its canonical ray is extreme
     there too, and each gap is a set difference of rays.
     """
-    state_points = max_state_points(g)
     state_rays = set(state_cone(g).rays)
-    state_gap = tuple(p for p in state_points if integerize(p) not in state_rays)
+    state_gap = tuple(p for p in max_state_points(g) if integerize(p) not in state_rays)
 
-    effect_rays = max_effect_rays(g)
     stored = set(effect_cone(g).rays)
     # scale each missing direction onto [0, unit] so the witness is a
     # genuine effect of the maximal theory
     effect_gap = tuple(
-        scale_to_effect_interval(h, g.state_vectors) for h in effect_rays if h not in stored
+        scale_to_effect_interval(h, g.state_vectors) for h in max_effect_rays(g) if h not in stored
     )
     return NoRestrictionResult(
         holds=not state_gap and not effect_gap,
         state_witnesses=state_gap,
         effect_witnesses=effect_gap,
-        max_state_points=state_points,
-        max_effect_rays=effect_rays,
     )
 
 

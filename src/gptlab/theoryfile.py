@@ -33,7 +33,7 @@ import re
 from dataclasses import replace
 
 from .errors import InputError
-from .linalg import Vec, format_rational, rat
+from .linalg import Vec, format_vec, rat
 from .theory import BonusElement, Gpt, Pvvm, build_gpt
 
 
@@ -186,25 +186,21 @@ def parse_path(path: str) -> Gpt:
     return g
 
 
-def _format_vector(v: Vec) -> str:
-    return "[" + ", ".join(format_rational(x) for x in v) + "]"
-
-
 def serialize(g: Gpt) -> str:
     lines = []
     if g.name:
         lines.append(f"name: {g.name}")
     lines.append(f"dimension: {g.dim}")
-    lines.append(f"unit: {_format_vector(g.unit)}")
+    lines.append(f"unit: {format_vec(g.unit)}")
     lines.append(f"no_restriction: {'true' if g.claims_no_restriction else 'false'}")
     lines.append("")
     lines.append("effects:")
     for label, v in g.effects():
-        lines.append(f"  {label} = {_format_vector(v)}")
+        lines.append(f"  {label} = {format_vec(v)}")
     lines.append("")
     lines.append("states:")
     for label, v in g.states():
-        lines.append(f"  {label} = {_format_vector(v)}")
+        lines.append(f"  {label} = {format_vec(v)}")
     if g.pvvms:
         lines.append("")
         lines.append("pvvms:")
@@ -214,5 +210,5 @@ def serialize(g: Gpt) -> str:
         lines.append("")
         lines.append("bonus:")
         for b in g.bonus:
-            lines.append(f"  {b.label} = {b.kind} {_format_vector(b.vector)}")
+            lines.append(f"  {b.label} = {b.kind} {format_vec(b.vector)}")
     return "\n".join(lines) + "\n"

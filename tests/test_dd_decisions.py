@@ -34,7 +34,7 @@ from gptlab.cones import (
 )
 from gptlab.contextuality import classify, interior_state_functional
 from gptlab.errors import InputError
-from gptlab.linalg import basis_vec, inner, rank, vec, vec_scale, vec_sub, vec_sum
+from gptlab.linalg import basis_vec, inner, integerize, rank, vec, vec_scale, vec_sub, vec_sum
 from gptlab.theory import (
     FIX_EFFECTS,
     FIX_STATES,
@@ -456,3 +456,76 @@ def test_completion_cones_cost_no_double_description(name, mode, monkeypatch):
     effect_cone(completed)
     state_cone(completed)
     assert runs == []
+
+
+@contextmanager
+def no_rank():
+    """`cones.rank` patched to raise inside the block."""
+
+    def raising(*args):
+        raise AssertionError("the cone reduction computed a rank")
+
+    with patch.object(cones, "rank", raising):
+        yield
+
+
+def check_rank_free_reduction(gens, dim):
+    """A cold reduction that computes no rank keeps the LP reduction of a
+    pointed cone and every canonical generator of a cone with lines, and
+    records the dual exactly when the cone is pointed."""
+    with no_rank():
+        c = cold_cone_from_rays(gens, dim)
+    pointed = is_pointed(c)
+    assert ((dim, c.facets) in cones._memo) == pointed
+    if pointed:
+        assert c.rays == lp_reduce_generators(gens)
+    else:
+        assert c.rays == tuple(sorted({integerize(v) for v in gens if any(v)}))
+    return c
+
+
+@pytest.mark.parametrize("mode", [None, FIX_EFFECTS, FIX_STATES])
+@pytest.mark.parametrize("name", catalog.bundled_names())
+def test_bundled_cones_reduce_without_rank(name, mode):
+    g = catalog.get(name)
+    if mode is not None:
+        g = complete(g, mode)
+    check_rank_free_reduction(g.effect_vectors, g.dim)
+    check_rank_free_reduction(g.state_vectors, g.dim)
+
+
+E = [basis_vec(i, 4) for i in range(4)]
+
+
+@pytest.mark.parametrize(
+    "gens, dim, rays, pointed",
+    [
+        # e1 + e2 inside a 2-face and e1 + e2 + e3 inside a facet of the
+        # positive orthant of R^4
+        (E + [vec_sum(E[:2], 4), vec_sum(E[:3], 4)], 4, tuple(sorted(E)), True),
+        # the whole plane: no facets, so every generator is tight everywhere
+        ([vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1), vec(1, 1)], 2, None, False),
+        # a half-space of R^3
+        ([vec(1, 0, 0), vec(-1, 0, 0), vec(0, 1, 0), vec(0, -1, 0), vec(0, 0, 1), vec(1, 1, 1)], 3, None, False),
+        ([vec(2, 4, 6)], 3, (vec(1, 2, 3),), True),
+        ([], 3, (), True),
+    ],
+)
+def test_rank_free_reduction_edge_cases(gens, dim, rays, pointed):
+    c = check_rank_free_reduction(gens, dim)
+    assert is_pointed(c) == pointed
+    assert c.rays == (tuple(sorted(gens)) if rays is None else rays)
+
+
+SHAPES = {
+    "pointed": lambda rng, dim: pointed_generators(rng, dim, dim),
+    "lower-dimensional": lambda rng, dim: pointed_generators(rng, dim, rng.randint(1, dim - 1)),
+    "with lines": generators_with_lines,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.integers(min_value=2, max_value=4), st.sampled_from(sorted(SHAPES)))
+def test_random_cones_reduce_without_rank(seed, dim, shape):
+    c = check_rank_free_reduction(SHAPES[shape](Random(seed), dim), dim)
+    assert is_pointed(c) == (shape != "with lines")
