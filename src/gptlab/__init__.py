@@ -16,7 +16,6 @@ from .cones import (
     dual_cone,
     is_simplicial,
     member_cone,
-    member_convex,
 )
 from .contextuality import (
     ContextualityVerdict,

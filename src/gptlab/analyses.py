@@ -9,7 +9,7 @@ sorted canonically and no ambient state enters.
 
 from __future__ import annotations
 
-from .cones import member_cone, member_convex
+from .cones import member_cone
 from .contextuality import (
     OntModel,
     classify,
@@ -29,7 +29,6 @@ from .theory import (
     BonusElement,
     Gpt,
     complete,
-    effect_cone,
     max_effect_rays,
     max_state_points,
     min_model_dimension,
@@ -86,25 +85,25 @@ def _no_restriction_section(report: Report, g: Gpt):
         for w in check.state_witnesses:
             report.add_check(
                 f"state witness {format_vec(w)} lies outside the stored state set",
-                lambda w=w: not member_convex(w, g.state_vectors).inside,
+                lambda w=w: not member_cone(w, g.state_vectors).inside,
             )
     if check.effect_witnesses:
         s.add("missing effects", vector_list(check.effect_witnesses))
         for w in check.effect_witnesses:
             report.add_check(
                 f"effect witness {format_vec(w)} lies outside the stored effect cone",
-                lambda w=w: not member_cone(w, effect_cone(g)).inside,
+                lambda w=w: not member_cone(w, g.effect_vectors).inside,
             )
     return check
 
 
 def _no_restriction_by_lp(g: Gpt) -> bool:
     """The no-restriction property re-decided by one membership LP per
-    maximal state point and effect ray, independently of the ray-set test
-    in `no_restriction_check`."""
-    return all(
-        member_convex(p, g.state_vectors).inside for p in max_state_points(g)
-    ) and all(member_cone(h, effect_cone(g)).inside for h in max_effect_rays(g))
+    maximal state point and effect ray over the stored generators,
+    independently of the ray-set test in `no_restriction_check`."""
+    return all(member_cone(p, g.state_vectors).inside for p in max_state_points(g)) and all(
+        member_cone(h, g.effect_vectors).inside for h in max_effect_rays(g)
+    )
 
 
 def _classification_section(report: Report, g: Gpt, heading: str = "classification"):
@@ -278,7 +277,7 @@ def complete_report(g: Gpt, mode: str) -> Report:
     for label, v in g.states():
         report.add_check(
             f"original state {label} is contained in the completed state set",
-            lambda v=v: member_convex(v, completion.state_vectors).inside,
+            lambda v=v: member_cone(v, completion.state_vectors).inside,
         )
     return report
 

@@ -21,9 +21,10 @@ Yes/no questions are answered from the two representations, with no LP
 and no rank: extremality is inclusion of the generators' tight facet sets
 (see `_reduce`), and `contains` is a sign test over the facets.
 
-The exact simplex in `lp` serves only `member_cone` and `member_convex`,
-whose answer is a certificate that gets printed or consumed: an expansion
-or a separating functional, re-verified before being handed out.
+The exact simplex in `lp` serves `member_cone` alone, whose answer is a
+certificate that gets printed or consumed: an expansion or a separating
+functional, re-verified before being handed out.  Hull questions on the
+unit slice are conic questions and go through it too.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import lp
-from .errors import DimensionMismatch, InputError, InternalCheckError
+from .errors import DimensionMismatch, InternalCheckError
 from .linalg import (
     Vec,
     basis_vec,
@@ -48,7 +49,7 @@ from .linalg import (
     vec_add,
     vec_scale,
     vec_sub,
-    zeros,
+    vec_sum,
 )
 
 
@@ -269,83 +270,51 @@ def cones_equal(a: Cone, b: Cone) -> bool:
 
 @dataclass(frozen=True)
 class MembershipCertificate:
-    """Exact Farkas certificate for (conic or convex) hull membership.
+    """Exact Farkas certificate for conic hull membership.
 
     Inside: nonnegative coefficients expanding the query over the
-    generators (summing to one in the convex case).  Outside: a separating
-    functional, nonnegative on every generator and negative on the query;
-    for convex membership the separator is affine, stored as (y, y0) in one
-    vector of length dim + 1 acting as <y, x> + y0.
+    generators.  Outside: a separating functional, nonnegative on every
+    generator and negative on the query.
     """
 
     inside: bool
     coefficients: tuple[Fraction, ...] | None
     separator: Vec | None
 
-    def verify(self, query: Vec, generators: Sequence[Vec], convex: bool) -> bool:
+    def verify(self, query: Vec, generators: Sequence[Vec]) -> bool:
         if self.inside:
-            if self.coefficients is None or len(self.coefficients) != len(generators):
+            coefs = self.coefficients
+            if coefs is None or len(coefs) != len(generators) or any(c < 0 for c in coefs):
                 return False
-            if any(c < 0 for c in self.coefficients):
-                return False
-            if convex and sum(self.coefficients) != 1:
-                return False
-            dim = len(query)
-            total = zeros(dim)
-            for coef, g in zip(self.coefficients, generators):
-                total = vec_add(total, vec_scale(coef, g))
-            return total == tuple(query)
+            terms = [vec_scale(c, g) for c, g in zip(coefs, generators)]
+            return vec_sum(terms, len(query)) == tuple(query)
         if self.separator is None:
             return False
-        if convex:
-            dim = len(query)
-            if len(self.separator) != dim + 1:
-                return False
-            y, y0 = self.separator[:dim], self.separator[dim]
-            if any(inner(y, g) + y0 < 0 for g in generators):
-                return False
-            return inner(y, query) + y0 < 0
-        if any(inner(self.separator, g) < 0 for g in generators):
-            return False
-        return inner(self.separator, query) < 0
+        y = self.separator
+        return all(inner(y, g) >= 0 for g in generators) and inner(y, query) < 0
 
 
-def member_cone(q: Vec, c: Cone) -> MembershipCertificate:
-    """Decide q in cone(rays), with an expansion or a separating functional."""
-    if len(q) != c.dim:
-        raise DimensionMismatch(c.dim, len(q), "membership query")
-    if not c.rays:
+def member_cone(q: Vec, generators: Sequence[Vec]) -> MembershipCertificate:
+    """Decide q in cone(generators), with an expansion or a separating
+    functional, re-verified against the generators as given.
+
+    On a unit slice this is hull membership: if <u, g> = 1 for every
+    generator and <u, q> = 1, applying u to q = sum c_i g_i gives
+    sum c_i = 1.  Every convex question gptlab asks meets that premise: the
+    states of a validated theory are normalised (`validate` reports
+    `state-normalization`, and every builder stops at an invalid theory),
+    and each query is an original state or a maximal state point, scaled
+    by 1/<u, ray>."""
+    if not generators:
         if is_zero_vec(q):
             return MembershipCertificate(True, (), None)
         return MembershipCertificate(False, None, vec_scale(-1, q))
-    result = lp.solve_feasibility(list(c.rays), q)
+    result = lp.solve_feasibility(list(generators), q)
     if result.feasible:
         cert = MembershipCertificate(True, result.x, None)
     else:
-        # solve_feasibility guarantees <farkas, ray> <= 0 and <farkas, q> > 0
+        # solve_feasibility guarantees <farkas, g> <= 0 and <farkas, q> > 0
         cert = MembershipCertificate(False, None, vec_scale(-1, result.farkas))
-    if not cert.verify(q, c.rays, convex=False):
+    if not cert.verify(q, generators):
         raise InternalCheckError("membership certificate failed re-verification")
-    return cert
-
-
-def member_convex(q: Vec, points: Sequence[Vec]) -> MembershipCertificate:
-    """Decide q in conv(points); like member_cone plus the sum = 1 constraint."""
-    if not points:
-        raise InputError("convex membership needs at least one point")
-    dim = len(q)
-    for p in points:
-        if len(p) != dim:
-            raise DimensionMismatch(dim, len(p), "convex membership")
-    columns = [p + (Fraction(1),) for p in points]
-    target = tuple(q) + (Fraction(1),)
-    result = lp.solve_feasibility(columns, target)
-    if result.feasible:
-        cert = MembershipCertificate(True, result.x, None)
-    else:
-        # lift of the Farkas vector: (y, y0) with <y, p> + y0 <= 0 on points
-        # and positive on the query; negate for the certificate convention
-        cert = MembershipCertificate(False, None, vec_scale(-1, result.farkas))
-    if not cert.verify(q, points, convex=True):
-        raise InternalCheckError("convex membership certificate failed re-verification")
     return cert

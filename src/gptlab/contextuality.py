@@ -221,7 +221,8 @@ def nonunique_decomposition(
         neg = [(label, coef) for (label, _), coef in zip(rest, alpha) if coef < 0]
         pos = [(label, coef) for (label, _), coef in zip(rest, alpha) if coef > 0]
         n_weight = sum((c for _, c in pos), Fraction(0))
-        assert n_weight == 1 - sum(c for _, c in neg)  # slice: sum(alpha) = 1
+        if n_weight != 1 - sum(c for _, c in neg):  # slice: sum(alpha) = 1
+            raise InternalCheckError("affine expansion leaves the unit slice")
         by_label = dict(scaled)
         point = vec_scale(
             Fraction(1) / n_weight,
@@ -361,7 +362,8 @@ def build_ncom(g: Gpt) -> OntModel:
             "theory is ontologically contextual; see the attached decomposition "
             f"witness on the {verdict.witness_side} side"
         )
-    assert verdict.model is not None
+    if verdict.model is None:
+        raise InternalCheckError("noncontextual verdict carries no model")
     return verdict.model
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
-from .errors import DimensionMismatch, InputError
+from .errors import DimensionMismatch, InputError, InternalCheckError
 
 Scalar = Union[int, str, Fraction]
 Vec = tuple[Fraction, ...]
@@ -315,8 +315,9 @@ def solve_affine(target: Vec, generators: Sequence[Vec]) -> AffineExpansion | No
         return None
     particular, basis = solved
     # re-verify exactly: the expansion and its affine constraint
-    assert vec_sum([vec_scale(c, g) for c, g in zip(particular, generators)], dim) == target
-    assert sum(particular) == 1
+    expanded = vec_sum([vec_scale(c, g) for c, g in zip(particular, generators)], dim)
+    if expanded != target or sum(particular) != 1:
+        raise InternalCheckError("affine expansion failed re-verification")
     return AffineExpansion(particular=particular, null_basis=basis)
 
 

@@ -1,9 +1,9 @@
 """Exact-rational feasibility LP.
 
-Membership certificates (`cones.member_cone`, `cones.member_convex`) and
-simplex embeddings (`contextuality.embed_lp`) reduce to one question: does
-{ x >= 0 : A x = b } contain a point?  This module answers it with a
-primal Phase-I simplex using Bland's rule, which terminates without
+It has two callers: membership certificates (`cones.member_cone`) and
+simplex embeddings (`contextuality.embed_lp`).  Both reduce to one
+question: does { x >= 0 : A x = b } contain a point?  This module answers
+it with a primal Phase-I simplex using Bland's rule, which terminates without
 cycling and needs no tolerance parameter.  The tableau is an integer
 matrix over one positive common denominator, the basis determinant,
 pivoted fraction-free by `linalg.pivot` (integer pivoting as in Avis's

@@ -126,7 +126,7 @@ def extend_theory(g: Gpt, b: BonusElement) -> ExtensionOutcome:
     if not extended.state_vectors:
         # only a bonus effect can empty the states: a state x would need
         # <-unit, x> >= 0 and <unit, x> = 1 at once
-        evidence = member_cone(vec_scale(-1, g.unit), cone)
+        evidence = member_cone(vec_scale(-1, g.unit), cone.rays)
         terms = " + ".join(
             f"{format_rational(c)} * {format_vec(r)}"
             for c, r in zip(evidence.coefficients, cone.rays)

@@ -529,16 +529,13 @@ def reduce_named(
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def pure_states(g: Gpt) -> tuple[tuple[str, Vec], ...]:
-    """Generators that are extreme points of the state set; a repeated
-    vector keeps its first label.  g must be valid (callers run
+    """Generators that are extreme points of the state set, in input order;
+    a repeated vector keeps its first label.  g must be valid (callers run
     `require_valid`): with normalised states, a state is extreme iff its
-    canonical vector is a ray of the state cone."""
-    rays = set(state_cone(g).rays)
-    out = []
-    for i, (label, s) in enumerate(g.states()):
-        if s not in g.state_vectors[:i] and integerize(s) in rays:
-            out.append((label, s))
-    return tuple(out)
+    canonical vector is a ray of the state cone, and states on one ray are
+    equal, so `reduce_named` keeps exactly the first of each."""
+    kept = set(reduce_named(g.states(), state_cone(g).rays))
+    return tuple(pair for pair in g.states() if pair in kept)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

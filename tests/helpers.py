@@ -1,8 +1,9 @@
 """Shared test utilities: independent brute-force oracles, the LP
 definitions and the lifted vertex enumeration the double-description
-decisions are checked against, the Fraction eliminations and the Fraction
-same-dimension search the integer kernel and screen are checked against,
-the greedy support minimisation the basic LP solution made redundant,
+decisions are checked against, the lifted convex-hull membership reference,
+the Fraction eliminations and the Fraction same-dimension search the
+integer kernel and screen are checked against, the greedy support
+minimisation the basic LP solution made redundant,
 helpers only tests use, and seeded random instance generators.
 
 The oracles deliberately avoid the library's own algorithms: vertex
@@ -21,7 +22,7 @@ from random import Random
 from unittest.mock import patch
 
 from gptlab import cones, linalg, lp
-from gptlab.cones import Cone, double_description, member_cone, member_convex
+from gptlab.cones import Cone, double_description, member_cone
 from gptlab.contextuality import (
     NONE_FOUND_CAVEAT,
     ExactDimSearch,
@@ -81,6 +82,19 @@ def is_full_dimensional(c: Cone) -> bool:
     return bool(c.rays) and rank(mat(c.rays)) == c.dim
 
 
+def lift(v: Vec) -> Vec:
+    """v with a last coordinate 1 appended."""
+    return tuple(v) + (Fraction(1),)
+
+
+def member_convex(q: Vec, points):
+    """Convex hull membership by the lifted conic LP: q is a mixture of the
+    points iff lift(q) lies in the cone of the lifted points, a reference
+    that needs no normalisation.  The certificate verifies against the
+    lifted query and points."""
+    return member_cone(lift(q), [lift(p) for p in points])
+
+
 # ---------------------------------------------------------------------------
 # LP definitions: the reference answers the double-description fast paths
 # must reproduce
@@ -122,7 +136,7 @@ def lp_no_restriction_gaps(g: Gpt):
     effects = tuple(
         scale_to_effect_interval(h, g.state_vectors)
         for h in max_effect_rays(g)
-        if not member_cone(h, effect_cone(g)).inside
+        if not member_cone(h, effect_cone(g).rays).inside
     )
     return states, effects
 
@@ -156,13 +170,13 @@ def reference_nonrefinable_effects(g: Gpt) -> set[Vec]:
     ec = effect_cone(g)
 
     def is_effect(e: Vec) -> bool:
-        return member_cone(e, ec).inside and member_cone(vec_sub(g.unit, e), ec).inside
+        return member_cone(e, ec.rays).inside and member_cone(vec_sub(g.unit, e), ec.rays).inside
 
     atoms = set()
     for vertex in effect_set_vertices(g):
         if all(x == 0 for x in vertex):
             continue
-        positive = [(i, c) for i, c in enumerate(member_cone(vertex, ec).coefficients) if c > 0]
+        positive = [(i, c) for i, c in enumerate(member_cone(vertex, ec.rays).coefficients) if c > 0]
         if len(positive) == 1:
             atoms.add(vertex)
             continue

@@ -253,8 +253,8 @@ def test_criterion_10_property_suites():
         dim = rng.randint(2, 6)
         c = cone_from_rays(random_pointed_cone_rays(rng, dim), dim)
         q = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(dim))
-        cert = member_cone(q, c)
-        assert cert.verify(q, c.rays, convex=False)
+        cert = member_cone(q, c.rays)
+        assert cert.verify(q, c.rays)
         inside_seen += cert.inside
         outside_seen += not cert.inside
         cases += 1

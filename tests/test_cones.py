@@ -12,11 +12,10 @@ from gptlab.cones import (
     dual_cone,
     is_simplicial,
     member_cone,
-    member_convex,
 )
 from gptlab.linalg import inner, integerize, solve_linear, vec
 
-from helpers import is_full_dimensional, is_pointed, random_pointed_cone_rays
+from helpers import is_full_dimensional, is_pointed, lift, member_convex, random_pointed_cone_rays
 
 E_RAYS = [vec(1, 0, 1), vec(-1, 0, 1), vec(0, 1, 1), vec(0, -1, 1)]
 SQUARE_STATES = [
@@ -66,19 +65,19 @@ def test_extreme_ray_reduction():
 
 def test_membership_certificates():
     c = cone_from_rays(E_RAYS, 3)
-    inside = member_cone(vec(1, 0, 1), c)
-    assert inside.inside and inside.verify(vec(1, 0, 1), c.rays, convex=False)
+    inside = member_cone(vec(1, 0, 1), c.rays)
+    assert inside.inside and inside.verify(vec(1, 0, 1), c.rays)
     # the expansion of a generator over this family is unique: the indicator
     weights = dict(zip(c.rays, inside.coefficients))
     assert weights[vec(1, 0, 1)] == 1 and sum(inside.coefficients) == 1
 
-    outside = member_cone(vec(1, 1, 1), c)
+    outside = member_cone(vec(1, 1, 1), c.rays)
     assert not outside.inside
     sep = outside.separator
     assert all(inner(sep, r) >= 0 for r in c.rays)
     assert inner(sep, vec(1, 1, 1)) < 0
 
-    zero = member_cone(vec(0, 0, 0), c)
+    zero = member_cone(vec(0, 0, 0), c.rays)
     assert zero.inside and all(x == 0 for x in zero.coefficients)
 
 
@@ -93,7 +92,7 @@ def test_membership_convex():
 
     outside = member_convex(vec(1, 1, 1), SQUARE_STATES)
     assert not outside.inside
-    assert outside.verify(vec(1, 1, 1), SQUARE_STATES, convex=True)
+    assert outside.verify(lift(vec(1, 1, 1)), [lift(s) for s in SQUARE_STATES])
 
 
 def test_cone_is_unhashable():
@@ -193,8 +192,8 @@ def test_membership_certificate_soundness(case, qseed):
     c = cone_from_rays(rays, dim)
     rng = Random(qseed)
     q = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(dim))
-    cert = member_cone(q, c)
-    assert cert.verify(q, c.rays, convex=False)
+    cert = member_cone(q, c.rays)
+    assert cert.verify(q, c.rays)
     # cross-check the verdict against the dual description
     dual = dual_cone(c)
     dual_says_inside = all(inner(f, q) >= 0 for f in dual.rays)

@@ -55,10 +55,10 @@ def test_dual_of_a_line():
 
 def test_membership_in_trivial_cone():
     trivial = cone_from_rays([], 3)
-    assert member_cone(vec(0, 0, 0), trivial).inside
-    outside = member_cone(vec(1, 0, 0), trivial)
+    assert member_cone(vec(0, 0, 0), trivial.rays).inside
+    outside = member_cone(vec(1, 0, 0), trivial.rays)
     assert not outside.inside
-    assert outside.verify(vec(1, 0, 0), trivial.rays, convex=False)
+    assert outside.verify(vec(1, 0, 0), trivial.rays)
 
 
 def test_duplicate_generators_collapse():

@@ -1,0 +1,42 @@
+"""Source hygiene of the package, read from its syntax trees: no imported
+name goes unused, and no check is a bare `assert`, which `python -O`
+strips and which escapes the CLI as a traceback instead of exit code 2."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import gptlab
+
+MODULES = sorted(Path(gptlab.__file__).parent.glob("*.py"))
+# the package's own imports are its public surface, used or not
+INTERNAL = [path for path in MODULES if path.name != "__init__.py"]
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Each name a module-level or nested import binds, with its line."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                names.setdefault(bound, node.lineno)
+    return names
+
+
+@pytest.mark.parametrize("path", INTERNAL, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name: line for name, line in _imported(tree).items() if name not in used}
+    assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    tree = ast.parse(path.read_text())
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name}: assert at lines {lines}; raise InternalCheckError instead"

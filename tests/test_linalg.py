@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptlab.errors import DimensionMismatch, InputError
+from gptlab import linalg
+from gptlab.errors import DimensionMismatch, InputError, InternalCheckError
 from gptlab.linalg import (
     SingularBasisError,
     dual_basis,
@@ -105,6 +106,14 @@ def test_solve_affine_examples():
     assert sol3.particular == (Fraction(1),)
 
     assert solve_affine(vec(0, 0, 1), [vec(1, 0, 0), vec(0, 1, 0)]) is None
+
+
+def test_solve_affine_rechecks_the_solution_it_returns(monkeypatch):
+    # a wrong particular solution that still sums to one: only the exact
+    # re-check of the expansion catches it, and it must survive python -O
+    monkeypatch.setattr(linalg, "solve_linear", lambda rows, rhs: ((Fraction(1), Fraction(0)), ()))
+    with pytest.raises(InternalCheckError, match="affine expansion"):
+        solve_affine(vec(1, 1), [vec(2, 0), vec(0, 2)])
 
 
 def test_solve_affine_reverifies():

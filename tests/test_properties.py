@@ -6,9 +6,9 @@ from random import Random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptlab.cones import cone_from_rays, dual_cone, member_cone, member_convex
+from gptlab.cones import cone_from_rays, dual_cone, member_cone
 from gptlab.contextuality import embed_lp, model_dimension_bound, verify_ncom
-from gptlab.linalg import inner, vec_add, vec_scale
+from gptlab.linalg import inner, vec_add, vec_scale, vec_sum
 from gptlab.theory import (
     FIX_EFFECTS,
     complete,
@@ -20,6 +20,8 @@ from gptlab.theory import (
 
 from helpers import (
     brute_force_facets,
+    lift,
+    member_convex,
     random_classical_theory,
     random_pair_subgpt,
     random_pointed_cone_rays,
@@ -43,13 +45,39 @@ def test_membership_certificates_sound(seed, dim):
     rng = Random(seed)
     c = cone_from_rays(random_pointed_cone_rays(rng, dim), dim)
     q = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 2)) for _ in range(dim))
-    cone_cert = member_cone(q, c)
-    assert cone_cert.verify(q, c.rays, convex=False)
+    cone_cert = member_cone(q, c.rays)
+    assert cone_cert.verify(q, c.rays)
     hull_cert = member_convex(q, c.rays)
-    assert hull_cert.verify(q, c.rays, convex=True)
+    assert hull_cert.verify(lift(q), [lift(r) for r in c.rays])
     # hull membership implies cone membership
     if hull_cert.inside:
         assert cone_cert.inside
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds, st.integers(min_value=2, max_value=5), st.integers(min_value=1, max_value=6), st.booleans())
+def test_conic_membership_decides_hulls_on_the_unit_slice(seed, dim, count, mixture):
+    """Generators and query on the slice x_last = 1: the cone test answers
+    hull membership, as the lifted convex-hull reference does."""
+    rng = Random(seed)
+
+    def point():
+        head = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim - 1))
+        return head + (Fraction(1),)
+
+    gens = [point() for _ in range(count)]
+    q = point()
+    if mixture:
+        weights = [Fraction(rng.randint(0, 3)) for _ in gens]
+        weights[0] += 1
+        q = vec_scale(1 / sum(weights), vec_sum([vec_scale(w, p) for w, p in zip(weights, gens)], dim))
+    cert = member_cone(q, gens)
+    assert cert.verify(q, gens)
+    hull = member_convex(q, gens)
+    assert hull.verify(lift(q), [lift(p) for p in gens])
+    assert cert.inside == hull.inside
+    if mixture:
+        assert cert.inside
 
 
 @settings(max_examples=40, deadline=None)

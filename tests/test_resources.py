@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gptlab import catalog
+from gptlab.analyses import _no_restriction_by_lp
 from gptlab.cones import cones_equal
 from gptlab.errors import InputError
-from gptlab.linalg import vec, vec_sub
+from gptlab.linalg import inner, vec, vec_sub
 from gptlab.resources import (
     CLASSICAL,
     DIMENSION_RAISING,
@@ -227,3 +229,31 @@ COORDINATES = st.fractions(min_value=Fraction(-1, 4), max_value=Fraction(5, 4), 
 def test_extension_is_completion_of_host_plus_bonus_on_draws(kind, head):
     host = catalog.get("classical_trit")
     check_extension_is_completion(host, BonusElement(kind, "b", (*head, 1 - sum(head))))
+
+
+def _without(g, side, i):
+    names, vectors = getattr(g, f"{side}_names"), getattr(g, f"{side}_vectors")
+    return replace(
+        g,
+        **{f"{side}_names": names[:i] + names[i + 1 :], f"{side}_vectors": vectors[:i] + vectors[i + 1 :]},
+    )
+
+
+@pytest.mark.parametrize("kind, text", [("effect", "3/2,0,-1/2"), ("state", "1/2,5/6,-1/3")])
+def test_no_restriction_audit_reads_the_stored_generators(trit, kind, text):
+    """The `--verify` audit holds on an extension and fails once one stored
+    state or effect is dropped.  An effect is only dropped where the unit
+    stays interior to the remaining effect cone: otherwise the effects bound
+    no state set, and `max_state_points` rightly raises."""
+    extended = extend_theory(trit, BonusElement(kind, "b", vec(*text.split(",")))).theory
+    assert len(extended.state_vectors) == len(extended.effect_vectors) == 4
+    assert _no_restriction_by_lp(extended)
+    for i in range(4):
+        assert not _no_restriction_by_lp(_without(extended, "state", i))
+    bounded = [
+        fewer
+        for fewer in (_without(extended, "effect", i) for i in range(4))
+        if all(inner(n, fewer.unit) > 0 for n in effect_cone(fewer).facets)
+    ]
+    assert bounded
+    assert not any(_no_restriction_by_lp(fewer) for fewer in bounded)

@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from gptlab import catalog
-from gptlab.cones import cones_equal, member_convex
+from gptlab.cones import cones_equal
 from gptlab.contextuality import classify
 from gptlab.errors import InputError, TheoryConsistencyError
 from gptlab.linalg import inner, integerize, vec, vec_add, vec_scale, vec_sub
@@ -29,7 +29,7 @@ from gptlab.theory import (
     validate,
 )
 
-from helpers import random_pair_subgpt, random_subgpt
+from helpers import member_convex, random_pair_subgpt, random_subgpt
 
 HALF = Fraction(1, 2)
 
