@@ -24,7 +24,8 @@ and no rank: extremality is inclusion of the generators' tight facet sets
 The exact simplex in `lp` serves `member_cone` alone, whose answer is a
 certificate that gets printed or consumed: an expansion or a separating
 functional, re-verified before being handed out.  Hull questions on the
-unit slice are conic questions and go through it too.
+unit slice are conic questions and go through it too, and so does the
+simplex-embedding question of `contextuality.embed_lp`.
 """
 
 from __future__ import annotations
@@ -296,7 +297,8 @@ class MembershipCertificate:
 
 def member_cone(q: Vec, generators: Sequence[Vec]) -> MembershipCertificate:
     """Decide q in cone(generators), with an expansion or a separating
-    functional, re-verified against the generators as given.
+    functional, re-verified against the generators as given.  This is the
+    one place an answer of the exact LP is checked.
 
     On a unit slice this is hull membership: if <u, g> = 1 for every
     generator and <u, q> = 1, applying u to q = sum c_i g_i gives
@@ -304,16 +306,15 @@ def member_cone(q: Vec, generators: Sequence[Vec]) -> MembershipCertificate:
     states of a validated theory are normalised (`validate` reports
     `state-normalization`, and every builder stops at an invalid theory),
     and each query is an original state or a maximal state point, scaled
-    by 1/<u, ray>."""
-    if not generators:
-        if is_zero_vec(q):
-            return MembershipCertificate(True, (), None)
-        return MembershipCertificate(False, None, vec_scale(-1, q))
+    by 1/<u, ray>.  `embed_lp` asks a conic question, with no slice: is the
+    flattened identity in the cone of the flattened outer products?  An
+    empty generator list goes to the solver like any other: q is inside iff
+    q = 0, and otherwise the Farkas vector separates it."""
     result = lp.solve_feasibility(list(generators), q)
     if result.feasible:
         cert = MembershipCertificate(True, result.x, None)
     else:
-        # solve_feasibility guarantees <farkas, g> <= 0 and <farkas, q> > 0
+        # the Farkas vector y claims <y, g> <= 0 and <y, q> > 0
         cert = MembershipCertificate(False, None, vec_scale(-1, result.farkas))
     if not cert.verify(q, generators):
         raise InternalCheckError("membership certificate failed re-verification")

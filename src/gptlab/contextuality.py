@@ -17,9 +17,10 @@ The decision procedures:
   exhaustion is conclusive only within that candidate class and is labelled
   as such.
 
-* `embed_lp` decides unbounded-cardinality models by one exact feasibility
-  LP over outer products of extreme rays; infeasibility carries an exact
-  Farkas certificate.
+* `embed_lp` decides unbounded-cardinality models by one membership
+  question (`cones.member_cone`): is the identity in the cone of the outer
+  products of extreme rays?  Infeasibility carries an exact Farkas
+  certificate.
 
 * `indistinguishability_witness` exhibits the failure mode of
   larger-than-dimension models: two distinct ontic distributions that no
@@ -35,7 +36,7 @@ from itertools import combinations
 from operator import mul
 from typing import Sequence
 
-from . import lp
+from .cones import member_cone
 from .errors import InputError, InternalCheckError
 from .linalg import (
     Mat,
@@ -314,24 +315,15 @@ def classify(g: Gpt) -> ContextualityVerdict:
     s_simp = len(pure) == g.dim
     e_simp = len(atoms) == g.dim
     if s_simp and e_simp:
-        model = build_ncom_from_parts(g, pure)
-        return ContextualityVerdict(
-            noncontextual=True,
-            model=model,
-            witness=None,
-            witness_side=None,
-            pure_state_labels=tuple(l for l, _ in pure),
-            nonrefinable_labels=tuple(l for l, _ in atoms),
-            states_simplicial=True,
-            effects_simplicial=True,
-        )
-    found = decomposition_witness(g)
-    if found is None:
-        raise InternalCheckError("non-simplicial family produced no decomposition witness")
-    side, witness = found
+        model, witness, side = build_ncom_from_parts(g, pure), None, None
+    else:
+        found = decomposition_witness(g)
+        if found is None:
+            raise InternalCheckError("non-simplicial family produced no decomposition witness")
+        model, (side, witness) = None, found
     return ContextualityVerdict(
-        noncontextual=False,
-        model=None,
+        noncontextual=model is not None,
+        model=model,
         witness=witness,
         witness_side=side,
         pure_state_labels=tuple(l for l, _ in pure),
@@ -407,7 +399,8 @@ def _ordered_rays(rays: Sequence[Vec]) -> tuple[Vec, ...]:
 
 
 def embed_lp(g: Gpt) -> LpEmbedding:
-    """Decide whether any finite ontological model exists, by exact LP.
+    """Decide whether any finite ontological model exists, by one exact
+    membership question (`cones.member_cone`).
 
     Every admissible effect-side frame element lies in the dual of the
     state cone and every state-side element in the normalised dual of the
@@ -432,25 +425,21 @@ def embed_lp(g: Gpt) -> LpEmbedding:
         columns.append(tuple(op[i][j] for i in range(dim) for j in range(dim)))
     target = tuple(Fraction(1) if i == j else Fraction(0) for i in range(dim) for j in range(dim))
 
-    result = lp.solve_feasibility(columns, target)
-    if not result.feasible:
-        y = result.farkas
-        farkas_matrix = tuple(tuple(y[i * dim + j] for j in range(dim)) for i in range(dim))
-        embedding = LpEmbedding(
+    cert = member_cone(target, columns)
+    if not cert.inside:
+        y = vec_scale(-1, cert.separator)
+        return LpEmbedding(
             model=None,
-            farkas=farkas_matrix,
+            farkas=tuple(tuple(y[i * dim + j] for j in range(dim)) for i in range(dim)),
             support=(),
             effect_ray_pool=h_pool,
             state_point_pool=r_pool,
         )
-        if not embedding.verify_farkas():
-            raise InternalCheckError("embedding infeasibility certificate failed re-verification")
-        return embedding
 
     state_frame = []
     effect_frame = []
     support_entries = []
-    for k, x in enumerate(result.x):
+    for k, x in enumerate(cert.coefficients):
         if x > 0:
             a, b = pairs[k]
             support_entries.append((a, b, x))

@@ -143,15 +143,8 @@ def integerize(v: Vec) -> Vec:
     The direction of the vector is preserved; this is the canonical form
     for rays of a cone, where flipping the sign would change the object.
     """
-    if is_zero_vec(v):
-        return tuple(Fraction(0) for _ in v)
-    denom_lcm = 1
-    for x in v:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in v]
-    content = 0
-    for n in ints:
-        content = gcd(content, abs(n))
+    ints, _ = _clear(v)
+    content = gcd(*ints) or 1  # the zero vector stays zero
     return tuple(Fraction(n // content) for n in ints)
 
 

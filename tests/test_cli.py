@@ -3,8 +3,9 @@ import sys
 
 import pytest
 
-from gptlab import catalog, theoryfile
-from gptlab.cli import run
+from gptlab import analyses, catalog, theoryfile
+from gptlab.cli import main, run
+from gptlab.errors import InternalCheckError
 
 
 @pytest.fixture
@@ -180,8 +181,36 @@ def test_exit_codes_via_subprocess(tmp_path):
     assert "broken.gpt:5" in broken.stderr
 
 
-def test_invalid_theory_reports_and_exits_zero(capture, tmp_path):
-    # an inconsistent but parseable theory: analysis completes, verdict is data
+def test_internal_check_failure_exits_two(monkeypatch, capsys):
+    def broken(g):
+        raise InternalCheckError("planted")
+
+    monkeypatch.setattr(analyses, "analyze_report", broken)
+    monkeypatch.setattr(sys, "argv", ["gptlab", "analyze", "rebit"])
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == "internal invariant failure: planted\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("analyze",),
+        ("table",),
+        ("complete", "--mode", "states"),
+        ("complete", "--mode", "effects"),
+        ("embed",),
+        ("embed", "--exact-dim"),
+        ("witness", "--lemma2"),
+        ("witness", "--indistinguishable"),
+        ("classify-resource", "--effect=1/2,1/2"),
+    ],
+    ids=" ".join,
+)
+def test_invalid_theory_reports_and_exits_zero(command, capture, tmp_path):
+    # an inconsistent but parseable theory: the report stops at validation,
+    # whose verdict is data
     text = (
         "dimension: 2\nunit: [1, 1]\nno_restriction: false\n"
         "effects:\n  a = [1, 0]\n  b = [1/2, 1/2]\n"
@@ -189,7 +218,12 @@ def test_invalid_theory_reports_and_exits_zero(capture, tmp_path):
     )
     path = tmp_path / "inconsistent.gpt"
     path.write_text(text, encoding="utf-8")
-    code, out = capture("analyze", str(path), "--format", "structured")
+    verb, *options = command
+    code, out = capture(verb, str(path), *options, "--format", "structured", "--verify")
     assert code == 0
-    assert "validation.consistent = no" in out
+    lines = out.splitlines()
+    assert "validation.consistent = no" in lines
     assert "missing-complement" in out
+    tail = lines[lines.index("validation.consistent = no") :]
+    assert tail[-1] == "verified certificates: 0"
+    assert all(line.startswith("validation.") for line in tail[:-1])

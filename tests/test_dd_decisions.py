@@ -32,8 +32,8 @@ from gptlab.cones import (
     member_cone,
     reduce_generators,
 )
-from gptlab.contextuality import classify, interior_state_functional
-from gptlab.errors import InputError
+from gptlab.contextuality import classify, embed_lp, interior_state_functional
+from gptlab.errors import InputError, InternalCheckError
 from gptlab.linalg import basis_vec, inner, integerize, rank, vec, vec_scale, vec_sub, vec_sum
 from gptlab.theory import (
     FIX_EFFECTS,
@@ -244,9 +244,9 @@ def test_emptied_state_set_evidence_is_the_only_lp(lp_calls):
 
 
 def test_only_certificates_call_the_lp():
-    """Each call of `lp.solve_feasibility` in the package sits in a function
-    whose answer is a certificate; a call is owned by the outermost function
-    around it (None at module level)."""
+    """The one call of `lp.solve_feasibility` in the package sits in
+    `member_cone`, which checks every answer as a certificate; a call is
+    owned by the outermost function around it (None at module level)."""
     callers = set()
     for path in Path(gptlab.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())
@@ -258,7 +258,30 @@ def test_only_certificates_call_the_lp():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("solve_feasibility"):
                 callers.add((path.stem, owner.get(node)))
-    assert callers == {("cones", "member_cone"), ("contextuality", "embed_lp")}
+    assert callers == {("cones", "member_cone")}
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda columns, b: lp.Feasible(x=tuple(Fraction(0) for _ in columns)),
+        lambda columns, b: lp.Infeasible(farkas=tuple(Fraction(0) for _ in b)),
+    ],
+    ids=["zero-point", "zero-farkas"],
+)
+def test_no_lp_answer_leaves_the_package_unchecked(wrong, monkeypatch):
+    """A wrong solver answer, feasible or not, is caught before any caller
+    sees it: by a plain membership question, by the embedding LP of the
+    rebit (feasible) and by that of its completion (infeasible)."""
+    rebit, completion = catalog.get("rebit"), catalog.get("rebit_completion")
+    monkeypatch.setattr(lp, "solve_feasibility", wrong)
+    for ask in (
+        lambda: member_cone(vec(1, 1, 1), [basis_vec(i, 3) for i in range(3)]),
+        lambda: embed_lp(rebit),
+        lambda: embed_lp(completion),
+    ):
+        with pytest.raises(InternalCheckError):
+            ask()
 
 
 def test_cone_facets_come_from_the_reduction_run(monkeypatch):

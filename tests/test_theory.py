@@ -14,6 +14,7 @@ from gptlab.theoryfile import parse_path
 from gptlab.theory import (
     FIX_EFFECTS,
     FIX_STATES,
+    Pvvm,
     build_gpt,
     complete,
     effect_cone,
@@ -74,6 +75,13 @@ def test_validate_catches_false_no_restriction_claim(theories):
     report = validate(g)
     assert not report.ok
     assert any(v.code == "no-restriction-claim" for v in report.violations)
+
+
+def test_validate_catches_a_measurement_that_misses_the_unit():
+    g = replace(catalog.get("trit"), pvvms=(Pvvm("M", ("e1", "e2")),))
+    assert [(v.code, v.message) for v in validate(g).violations] == [
+        ("pvvm-sum", "measurement 'M' sums to [1, 1, 0], not the unit")
+    ]
 
 
 def test_probability_examples(theories):

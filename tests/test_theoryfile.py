@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from gptlab import catalog
+from gptlab.errors import InputError
 from gptlab.theoryfile import ParseError, parse_path, parse_text, serialize
 
 REBIT_TEXT = """\
@@ -107,3 +108,40 @@ def test_parse_path_uses_stem_as_name(tmp_path):
     path.write_text(REBIT_TEXT.replace("name: rebit\n", ""), encoding="utf-8")
     g = parse_path(str(path))
     assert g.name == "mytheory"
+
+
+BONUS = "\nbonus:\n  b1 = effect [1, 0, 0]\n"
+EFFECTS = "effects:\n  e1 = [1, 0, 1]\n  e2 = [-1, 0, 1]\n  e3 = [0, 1, 1]\n  e4 = [0, -1, 1]\n"
+STATES = "states:\n  s1 = [1/2, 0, 1/2]\n  s2 = [-1/2, 0, 1/2]\n  s3 = [0, 1/2, 1/2]\n  s4 = [0, -1/2, 1/2]\n"
+
+
+@pytest.mark.parametrize(
+    "old, new, line_no, message",
+    [
+        ("unit: [0, 0, 2]", "unit: 0, 0, 2", 4, "expected a bracketed vector, got '0, 0, 2'"),
+        ("e1 = [1, 0, 1]", "e1 = []", 8, "empty vector"),
+        ("dimension: 3", "dimension: three", 3, "dimension must be an integer, got 'three'"),
+        ("no_restriction: false", "no_restriction: maybe", 5, "no_restriction must be true or false, got 'maybe'"),
+        ("e1 = [1, 0, 1]", "e1 [1, 0, 1]", 8, "expected 'label = [vector]', got 'e1 [1, 0, 1]'"),
+        ("Z = e1 + e2", "Z e1 + e2", 20, "expected 'name = label + label + ...', got 'Z e1 + e2'"),
+        ("Z = e1 + e2", "Z = e1 +", 20, "empty outcome label in measurement"),
+        (BONUS, BONUS.replace(" = ", " "), 24, "expected 'label = effect|state [vector]', got 'b1 effect [1, 0, 0]'"),
+        (BONUS, BONUS.replace("effect", "measurement"), 24, "bonus kind must be 'effect' or 'state', got 'measurement'"),
+        ("dimension: 3\n", "", 0, "missing 'dimension:' entry"),
+        ("unit: [0, 0, 2]\n", "", 0, "missing 'unit:' entry"),
+        (EFFECTS, "", 0, "missing or empty 'effects:' section"),
+        (STATES, "", 0, "missing or empty 'states:' section"),
+    ],
+)
+def test_parse_errors_are_located(old, new, line_no, message):
+    text = REBIT_TEXT + BONUS
+    assert old in text
+    with pytest.raises(ParseError) as exc:
+        parse_text(text.replace(old, new))
+    assert exc.value.line_no == line_no
+    assert str(exc.value) == f"<text>:{line_no}: {message}"
+
+
+def test_parse_path_reports_an_unreadable_file(tmp_path):
+    with pytest.raises(InputError, match="cannot read theory file"):
+        parse_path(str(tmp_path / "missing.gpt"))
