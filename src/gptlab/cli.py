@@ -127,8 +127,11 @@ def run(argv: list[str]) -> int:
             return 0
         text = theoryfile.serialize(catalog.get(args.name))
         if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise InputError(f"cannot write {args.output!r}: {exc}") from None
         else:
             sys.stdout.write(text)
         return 0

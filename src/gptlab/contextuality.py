@@ -19,8 +19,9 @@ The decision procedures:
 
 * `embed_lp` decides unbounded-cardinality models by one membership
   question (`cones.member_cone`): is the identity in the cone of the outer
-  products of extreme rays?  Infeasibility carries an exact Farkas
-  certificate.
+  products of extreme rays?  Its answer is the membership certificate
+  `member_cone` returns; on infeasibility the Farkas matrix is that
+  certificate's separator.
 
 * `indistinguishability_witness` exhibits the failure mode of
   larger-than-dimension models: two distinct ontic distributions that no
@@ -32,11 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from operator import mul
 from typing import Sequence
 
-from .cones import member_cone
+from .cones import MembershipCertificate, member_cone
 from .errors import InputError, InternalCheckError
 from .linalg import (
     Mat,
@@ -222,8 +223,6 @@ def nonunique_decomposition(
         neg = [(label, coef) for (label, _), coef in zip(rest, alpha) if coef < 0]
         pos = [(label, coef) for (label, _), coef in zip(rest, alpha) if coef > 0]
         n_weight = sum((c for _, c in pos), Fraction(0))
-        if n_weight != 1 - sum(c for _, c in neg):  # slice: sum(alpha) = 1
-            raise InternalCheckError("affine expansion leaves the unit slice")
         by_label = dict(scaled)
         point = vec_scale(
             Fraction(1) / n_weight,
@@ -354,8 +353,6 @@ def build_ncom(g: Gpt) -> OntModel:
             "theory is ontologically contextual; see the attached decomposition "
             f"witness on the {verdict.witness_side} side"
         )
-    if verdict.model is None:
-        raise InternalCheckError("noncontextual verdict carries no model")
     return verdict.model
 
 
@@ -363,11 +360,23 @@ def build_ncom(g: Gpt) -> OntModel:
 # unbounded-cardinality embedding by exact LP
 
 
+def _embedding_question(h_pool: Sequence[Vec], r_pool: Sequence[Vec]) -> tuple[Vec, list[Vec]]:
+    """The membership question of `embed_lp`: the flattened identity, and the
+    flattened outer products h r^T in effect-ray-major order."""
+    dim = len(h_pool[0])
+    target = tuple(Fraction(int(i == j)) for i in range(dim) for j in range(dim))
+    columns = [tuple(x for row in outer(h, r) for x in row) for h, r in product(h_pool, r_pool)]
+    return target, columns
+
+
 @dataclass(frozen=True)
 class LpEmbedding:
+    """The answer of `embed_lp`: the membership certificate `member_cone`
+    returned for the embedding question, and the model read from its
+    expansion.  The Farkas matrix is the certificate's separator."""
+
     model: OntModel | None
-    farkas: Mat | None  # dim x dim matrix certifying infeasibility
-    support: tuple[tuple[int, int, Fraction], ...]  # (effect ray, state point, weight)
+    certificate: MembershipCertificate
     effect_ray_pool: tuple[Vec, ...]
     state_point_pool: tuple[Vec, ...]
 
@@ -375,22 +384,19 @@ class LpEmbedding:
     def found(self) -> bool:
         return self.model is not None
 
+    @property
+    def farkas(self) -> Mat | None:
+        """dim x dim matrix Y with tr Y > 0 and h^T Y r <= 0 on every pair."""
+        y = self.certificate.separator
+        if y is None:
+            return None
+        dim = len(self.effect_ray_pool[0])
+        return tuple(tuple(-y[i * dim + j] for j in range(dim)) for i in range(dim))
+
     def verify_farkas(self) -> bool:
-        if self.farkas is None:
-            return False
-        y = self.farkas
-        trace = sum((y[i][i] for i in range(len(y))), Fraction(0))
-        if trace <= 0:
-            return False
-        for h in self.effect_ray_pool:
-            for r in self.state_point_pool:
-                value = sum(
-                    (h[i] * r[j] * y[i][j] for i in range(len(y)) for j in range(len(y))),
-                    Fraction(0),
-                )
-                if value > 0:
-                    return False
-        return True
+        return not self.certificate.inside and self.certificate.verify(
+            *_embedding_question(self.effect_ray_pool, self.state_point_pool)
+        )
 
 
 def _ordered_rays(rays: Sequence[Vec]) -> tuple[Vec, ...]:
@@ -416,48 +422,20 @@ def embed_lp(g: Gpt) -> LpEmbedding:
     require_valid(g)
     h_pool = _ordered_rays(max_effect_rays(g))
     r_pool = _ordered_rays(max_state_points(g))
-    dim = g.dim
-
-    pairs = [(a, b) for a in range(len(h_pool)) for b in range(len(r_pool))]
-    columns = []
-    for a, b in pairs:
-        op = outer(h_pool[a], r_pool[b])
-        columns.append(tuple(op[i][j] for i in range(dim) for j in range(dim)))
-    target = tuple(Fraction(1) if i == j else Fraction(0) for i in range(dim) for j in range(dim))
-
-    cert = member_cone(target, columns)
-    if not cert.inside:
-        y = vec_scale(-1, cert.separator)
-        return LpEmbedding(
-            model=None,
-            farkas=tuple(tuple(y[i * dim + j] for j in range(dim)) for i in range(dim)),
-            support=(),
-            effect_ray_pool=h_pool,
-            state_point_pool=r_pool,
+    cert = member_cone(*_embedding_question(h_pool, r_pool))
+    model = None
+    if cert.inside:
+        support = [(x, h, r) for x, (h, r) in zip(cert.coefficients, product(h_pool, r_pool)) if x > 0]
+        model = OntModel(
+            state_frame=tuple(r for _, _, r in support),
+            effect_frame=tuple(vec_scale(x, h) for x, h, _ in support),
         )
-
-    state_frame = []
-    effect_frame = []
-    support_entries = []
-    for k, x in enumerate(cert.coefficients):
-        if x > 0:
-            a, b = pairs[k]
-            support_entries.append((a, b, x))
-            effect_frame.append(vec_scale(x, h_pool[a]))
-            state_frame.append(r_pool[b])
-    model = OntModel(state_frame=tuple(state_frame), effect_frame=tuple(effect_frame))
-    report = verify_ncom(model, g)
-    if not report.ok:
-        raise InternalCheckError(
-            "LP embedding failed verification: " + "; ".join(report.violations)
-        )
-    return LpEmbedding(
-        model=model,
-        farkas=None,
-        support=tuple(support_entries),
-        effect_ray_pool=h_pool,
-        state_point_pool=r_pool,
-    )
+        report = verify_ncom(model, g)
+        if not report.ok:
+            raise InternalCheckError(
+                "LP embedding failed verification: " + "; ".join(report.violations)
+            )
+    return LpEmbedding(model=model, certificate=cert, effect_ray_pool=h_pool, state_point_pool=r_pool)
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,10 @@ class Gpt:
             object.__setattr__(self, "_hash", h)
         return h
 
+    def __getstate__(self) -> dict:
+        # string hashes differ between interpreters: a copy recomputes its own
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     def effects(self) -> tuple[tuple[str, Vec], ...]:
         return tuple(zip(self.effect_names, self.effect_vectors))
 

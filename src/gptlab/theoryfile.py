@@ -65,11 +65,30 @@ def _parse_vector(text: str, source: str, line_no: int) -> tuple:
     return tuple(entries)
 
 
+def _parse_dimension(value: str, source: str, line_no: int) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError(source, line_no, f"dimension must be an integer, got {value!r}") from None
+
+
+def _parse_no_restriction(value: str, source: str, line_no: int) -> bool:
+    if value not in ("true", "false"):
+        raise ParseError(source, line_no, f"no_restriction must be true or false, got {value!r}")
+    return value == "true"
+
+
+# each header key with the parser of its value; a key may appear once
+_HEADER = {
+    "dimension": _parse_dimension,
+    "unit": _parse_vector,
+    "no_restriction": _parse_no_restriction,
+    "name": lambda value, source, line_no: value,
+}
+
+
 def parse_text(text: str, source: str = "<text>") -> Gpt:
-    dimension: int | None = None
-    unit: Vec | None = None
-    no_restriction: bool | None = None
-    name = ""
+    header: dict[str, object] = {}
     effects: list[tuple[str, Vec]] = []
     states: list[tuple[str, Vec]] = []
     pvvms: list[Pvvm] = []
@@ -89,26 +108,10 @@ def parse_text(text: str, source: str = "<text>") -> Gpt:
         if ":" in stripped and not stripped.startswith("["):
             key, _, value = stripped.partition(":")
             key = key.strip()
-            value = value.strip()
-            if key == "dimension":
-                try:
-                    dimension = int(value)
-                except ValueError:
-                    raise ParseError(source, line_no, f"dimension must be an integer, got {value!r}")
-                section = None
-                continue
-            if key == "unit":
-                unit = _parse_vector(value, source, line_no)
-                section = None
-                continue
-            if key == "no_restriction":
-                if value not in ("true", "false"):
-                    raise ParseError(source, line_no, f"no_restriction must be true or false, got {value!r}")
-                no_restriction = value == "true"
-                section = None
-                continue
-            if key == "name":
-                name = value
+            if key in _HEADER:
+                if key in header:
+                    raise ParseError(source, line_no, f"duplicate '{key}:' entry")
+                header[key] = _HEADER[key](value.strip(), source, line_no)
                 section = None
                 continue
 
@@ -147,26 +150,23 @@ def parse_text(text: str, source: str = "<text>") -> Gpt:
 
         raise ParseError(source, line_no, f"unrecognised line {stripped!r}")
 
-    if dimension is None:
-        raise ParseError(source, 0, "missing 'dimension:' entry")
-    if unit is None:
-        raise ParseError(source, 0, "missing 'unit:' entry")
-    if no_restriction is None:
-        raise ParseError(source, 0, "missing 'no_restriction:' entry")
+    for key in ("dimension", "unit", "no_restriction"):
+        if key not in header:
+            raise ParseError(source, 0, f"missing '{key}:' entry")
     if not effects:
         raise ParseError(source, 0, "missing or empty 'effects:' section")
     if not states:
         raise ParseError(source, 0, "missing or empty 'states:' section")
     try:
         return build_gpt(
-            dim=dimension,
-            unit=unit,
+            dim=header["dimension"],
+            unit=header["unit"],
             effects=effects,
             states=states,
-            claims_no_restriction=no_restriction,
+            claims_no_restriction=header["no_restriction"],
             pvvms=pvvms,
             bonus=bonus,
-            name=name,
+            name=header.get("name", ""),
         )
     except InputError as exc:
         raise ParseError(source, 0, str(exc)) from None
@@ -176,7 +176,7 @@ def parse_path(path: str) -> Gpt:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read theory file {path!r}: {exc}") from None
     g = parse_text(text, source=path)
     if not g.name:

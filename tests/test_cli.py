@@ -181,6 +181,24 @@ def test_exit_codes_via_subprocess(tmp_path):
     assert "broken.gpt:5" in broken.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "{tmp}/latin1.gpt"),
+        ("examples", "export", "rebit", "--output", "{tmp}/no/such/dir/rebit.gpt"),
+    ],
+    ids=["unreadable input", "unwritable output"],
+)
+def test_file_errors_exit_one_with_a_message(argv, monkeypatch, capsys, tmp_path):
+    (tmp_path / "latin1.gpt").write_bytes(theoryfile.serialize(catalog.get("rebit")).encode() + b"# \xe9\n")
+    monkeypatch.setattr(sys, "argv", ["gptlab"] + [a.format(tmp=tmp_path) for a in argv])
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot ") and "Traceback" not in err
+
+
 def test_internal_check_failure_exits_two(monkeypatch, capsys):
     def broken(g):
         raise InternalCheckError("planted")

@@ -271,8 +271,7 @@ def check_first_basic_solution(g):
     assert support_is_independent(columns, result.x)
     first = {k: x for k, x in enumerate(result.x) if x > 0}
     assert reference_minimal_support(columns, target, result.x) == first
-    pool = len(embedding.state_point_pool)
-    assert [(a * pool + b, x) for a, b, x in embedding.support] == list(first.items())
+    assert {k: x for k, x in enumerate(embedding.certificate.coefficients) if x > 0} == first
 
 
 @pytest.mark.parametrize("name", catalog.bundled_names())

@@ -1,5 +1,6 @@
 """Degenerate geometry, report branches and cross-procedure consistency."""
 
+from dataclasses import replace
 
 import pytest
 
@@ -89,6 +90,22 @@ def test_cube_completion_admits_no_finite_model(cube):
     assert not exact.found
     # six effect-side rays and eight state points, all 4-subsets examined
     assert exact.explored == 15 + 70
+
+
+@pytest.mark.parametrize("name", ["rebit_completion", "cube"])
+def test_farkas_recheck_rejects_a_bad_separator(name, cube):
+    lp_result = embed_lp(cube if name == "cube" else catalog.get(name))
+    assert lp_result.verify_farkas()
+    separator = lp_result.certificate.separator
+    for bad in (tuple(-y for y in separator), tuple(0 * y for y in separator)):
+        forged = replace(lp_result, certificate=replace(lp_result.certificate, separator=bad))
+        assert not forged.verify_farkas()
+
+
+def test_farkas_recheck_rejects_a_found_model():
+    lp_result = embed_lp(catalog.get("rebit"))
+    assert lp_result.found and lp_result.farkas is None
+    assert not lp_result.verify_farkas()
 
 
 def test_fix_states_and_fix_effects_commute_on_rebit():

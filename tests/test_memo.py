@@ -9,14 +9,18 @@ extension costs one double description.  A theory hashes by value and
 computes that hash once.
 """
 
+import copy
 import io
 import os
+import pickle
+import subprocess
 import sys
 import threading
 from collections import Counter
 from contextlib import redirect_stdout
 from dataclasses import fields, replace
 from fractions import Fraction
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -142,6 +146,37 @@ def test_theories_hash_by_value_once(name):
     # the cached hash is no field: equality, repr and fields ignore it
     assert [f.name for f in fields(a)] == [f.name for f in fields(theory.Gpt)]
     assert repr(a) == repr(b) and "_hash" not in repr(a)
+    # copies keep the value contract
+    for copied in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+        assert copied == a and hash(copied) == hash(a) and len({a, copied}) == 1
+
+
+def test_a_theory_hash_survives_pickling_between_interpreters(tmp_path):
+    # string hashes are salted per interpreter, so a hash cached in the
+    # pickling process must not travel with the theory
+    dump = tmp_path / "rebit.pickle"
+    script = (
+        "import pickle, sys\n"
+        "from pathlib import Path\n"
+        "from gptlab import catalog\n"
+        "g = catalog.get('rebit')\n"
+        "if sys.argv[1] == 'dump':\n"
+        "    hash(g)\n"
+        "    Path(sys.argv[2]).write_bytes(pickle.dumps(g))\n"
+        "else:\n"
+        "    h = pickle.loads(Path(sys.argv[2]).read_bytes())\n"
+        "    print(h == g, hash(h) == hash(g), len({g, h}))\n"
+    )
+    src = str(Path(theory.__file__).parents[1])
+    for seed, mode in (("1", "dump"), ("2", "load")):
+        done = subprocess.run(
+            [sys.executable, "-c", script, mode, str(dump)],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+    assert done.stdout == "True True 1\n"
 
 
 def test_cone_memo_is_safe_to_share_between_threads():

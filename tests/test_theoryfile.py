@@ -129,6 +129,11 @@ STATES = "states:\n  s1 = [1/2, 0, 1/2]\n  s2 = [-1/2, 0, 1/2]\n  s3 = [0, 1/2, 
         (BONUS, BONUS.replace("effect", "measurement"), 24, "bonus kind must be 'effect' or 'state', got 'measurement'"),
         ("dimension: 3\n", "", 0, "missing 'dimension:' entry"),
         ("unit: [0, 0, 2]\n", "", 0, "missing 'unit:' entry"),
+        ("no_restriction: false\n", "", 0, "missing 'no_restriction:' entry"),
+        ("name: rebit", "name: rebit\nname: other", 3, "duplicate 'name:' entry"),
+        ("dimension: 3", "dimension: 3\ndimension: 3", 4, "duplicate 'dimension:' entry"),
+        ("unit: [0, 0, 2]", "unit: [0, 0, 2]\nunit: [0, 0, 1]", 5, "duplicate 'unit:' entry"),
+        ("no_restriction: false", "no_restriction: false\nno_restriction: true", 6, "duplicate 'no_restriction:' entry"),
         (EFFECTS, "", 0, "missing or empty 'effects:' section"),
         (STATES, "", 0, "missing or empty 'states:' section"),
     ],
