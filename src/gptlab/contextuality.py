@@ -50,12 +50,12 @@ from .linalg import (
     format_vec,
     identity,
     inner,
-    mat,
     null_space,
     outer,
     rank,
     solve_affine,
     vec_scale,
+    vec_sub,
     vec_sum,
     zeros,
 )
@@ -91,6 +91,10 @@ class OntModel:
     def response_function(self, e: Vec) -> tuple[Fraction, ...]:
         return tuple(inner(e, d) for d in self.state_frame)
 
+    def mixture(self, weights: Sequence[Fraction], dim: int) -> Vec:
+        """sum_lambda weights_lambda D(lambda), the state a distribution prepares."""
+        return vec_sum([vec_scale(w, d) for w, d in zip(weights, self.state_frame)], dim)
+
 
 @dataclass(frozen=True)
 class NcomReport:
@@ -100,7 +104,10 @@ class NcomReport:
 
 
 def verify_ncom(m: OntModel, g: Gpt) -> NcomReport:
-    """Re-derive every model condition exactly; violations are data."""
+    """Re-derive every model condition exactly; violations are data.  The
+    statistics need no check of their own: the reconstruction identity
+    alone gives sum_l <s, F(l)> <e, D(l)> = e^T (sum_l D(l) F(l)^T) s =
+    <e, s> for all e, s (Schmid et al., PRX Quantum 2, 010331 (2021))."""
     violations: list[str] = []
     flags: list[str] = []
     n = m.ontic_size
@@ -128,21 +135,14 @@ def verify_ncom(m: OntModel, g: Gpt) -> NcomReport:
     if tuple(tuple(row) for row in recon) != identity(g.dim):
         violations.append("frames do not reconstruct the identity")
 
-    states = [(s_label, s, [inner(s, f) for f in m.effect_frame]) for s_label, s in g.states()]
-    effects = [(e_label, e, m.response_function(e)) for e_label, e in g.effects()]
-    for s_label, _, weights in states:
-        for i, w in enumerate(weights):
-            if w < 0:
+    for s_label, s in g.states():
+        for i, f in enumerate(m.effect_frame):
+            if inner(s, f) < 0:
                 violations.append(f"ontic weight of {s_label} at {i} is negative")
-    for e_label, _, responses in effects:
-        for i, val in enumerate(responses):
+    for e_label, e in g.effects():
+        for i, val in enumerate(m.response_function(e)):
             if val < 0 or val > 1:
                 violations.append(f"response of {e_label} at {i} is {val}, outside [0, 1]")
-
-    for e_label, e, responses in effects:
-        for s_label, s, weights in states:
-            if inner(weights, responses) != inner(e, s):
-                violations.append(f"statistics broken for ({e_label}, {s_label})")
 
     if n > g.dim:
         flags.append(
@@ -150,6 +150,12 @@ def verify_ncom(m: OntModel, g: Gpt) -> NcomReport:
             "distinct ontic distributions can be empirically indistinguishable"
         )
     return NcomReport(ok=not violations, violations=tuple(violations), flags=tuple(flags))
+
+
+def _require_model(m: OntModel, g: Gpt, error: type[Exception], prefix: str) -> None:
+    report = verify_ncom(m, g)
+    if not report.ok:
+        raise error(prefix + "; ".join(report.violations))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +320,10 @@ def classify(g: Gpt) -> ContextualityVerdict:
     s_simp = len(pure) == g.dim
     e_simp = len(atoms) == g.dim
     if s_simp and e_simp:
-        model, witness, side = build_ncom_from_parts(g, pure), None, None
+        frame = tuple(v for _, v in pure)
+        model = OntModel(state_frame=frame, effect_frame=dual_basis(frame))
+        _require_model(model, g, InternalCheckError, "simplicial model failed verification: ")
+        witness, side = None, None
     else:
         found = decomposition_witness(g)
         if found is None:
@@ -330,18 +339,6 @@ def classify(g: Gpt) -> ContextualityVerdict:
         states_simplicial=s_simp,
         effects_simplicial=e_simp,
     )
-
-
-def build_ncom_from_parts(g: Gpt, pure: Sequence[tuple[str, Vec]]) -> OntModel:
-    state_frame = tuple(v for _, v in pure)
-    effect_frame = dual_basis(state_frame)
-    model = OntModel(state_frame=state_frame, effect_frame=effect_frame)
-    report = verify_ncom(model, g)
-    if not report.ok:
-        raise InternalCheckError(
-            "simplicial model failed verification: " + "; ".join(report.violations)
-        )
-    return model
 
 
 def build_ncom(g: Gpt) -> OntModel:
@@ -430,11 +427,7 @@ def embed_lp(g: Gpt) -> LpEmbedding:
             state_frame=tuple(r for _, _, r in support),
             effect_frame=tuple(vec_scale(x, h) for x, h, _ in support),
         )
-        report = verify_ncom(model, g)
-        if not report.ok:
-            raise InternalCheckError(
-                "LP embedding failed verification: " + "; ".join(report.violations)
-            )
+        _require_model(model, g, InternalCheckError, "LP embedding failed verification: ")
     return LpEmbedding(model=model, certificate=cert, effect_ray_pool=h_pool, state_point_pool=r_pool)
 
 
@@ -537,7 +530,10 @@ def _nonnegative(gens: Sequence[Sequence[int]], columns: Sequence[Sequence[int]]
 
 @dataclass(frozen=True)
 class IndistinguishabilityWitness:
-    """Two distinct ontic distributions no allowed effect can separate."""
+    """Two distinct ontic distributions no allowed effect can separate: they
+    differ by a positive multiple of `null_direction`, whose mixture of the
+    state frame is 0, so they prepare the same state and every effect, stored
+    or not, gives both the printed `statistics`."""
 
     first: tuple[Fraction, ...]  # extremal: pushed until a coordinate hits zero
     second: tuple[Fraction, ...]  # the uniform reference distribution
@@ -545,50 +541,45 @@ class IndistinguishabilityWitness:
     statistics: tuple[tuple[str, Fraction], ...]  # the shared response row
 
     def verify(self, g: Gpt, m: OntModel) -> bool:
-        if self.first == self.second:
+        delta = self.null_direction
+        if not len(self.first) == len(self.second) == len(delta) == m.ontic_size:
             return False
         for dist in (self.first, self.second):
             if any(x < 0 for x in dist) or sum(dist) != 1:
                 return False
-        for _, e in g.effects():
-            responses = m.response_function(e)
-            p1 = sum((a * r for a, r in zip(self.first, responses)), Fraction(0))
-            p2 = sum((a * r for a, r in zip(self.second, responses)), Fraction(0))
-            if p1 != p2:
-                return False
-        return True
+        # t > 0 with first - second = t * delta, so the two also differ
+        diff = vec_sub(self.first, self.second)
+        k = next((i for i, d in enumerate(delta) if d != 0), None)
+        if k is None or diff[k] / delta[k] <= 0 or diff != vec_scale(diff[k] / delta[k], delta):
+            return False
+        if m.mixture(delta, g.dim) != zeros(g.dim):
+            return False
+        state = m.mixture(self.second, g.dim)
+        return self.statistics == tuple((label, inner(e, state)) for label, e in g.effects())
 
 
 def indistinguishability_witness(g: Gpt, m: OntModel) -> IndistinguishabilityWitness | None:
     """For models with more ontic points than dimensions, produce two
     distributions over the ontic set with identical statistics on every
     effect of the theory; None when the cardinality equals the dimension.
+
+    The direction is the first canonical null vector of the d x n matrix of
+    the state frame, which has one as n > d.  g must be valid, as every
+    report builder checks first: its effects then span, so the response
+    matrix <e, D(l)> has the same canonical null basis.  The direction sums
+    to <unit, sum_l delta_l D(l)> = 0, as each D(l) is normalised, so it
+    has a negative entry.  The statistics are <e, c> at the barycentre c.
     """
-    report = verify_ncom(m, g)
-    if not report.ok:
-        raise InputError(
-            "model is inconsistent with the theory: " + "; ".join(report.violations)
-        )
+    _require_model(m, g, InputError, "model is inconsistent with the theory: ")
     n = m.ontic_size
     if n <= g.dim:
         return None
-    response_rows = mat([m.response_function(e) for e in g.effect_vectors])
-    directions = null_space(response_rows)
-    if not directions:
-        raise InternalCheckError(
-            "response matrix of an oversized model has full column rank"
-        )
-    direction = directions[0]
+    direction = null_space(tuple(zip(*m.state_frame)))[0]
     uniform = tuple(Fraction(1, n) for _ in range(n))
-    steps = [uniform[i] / -d for i, d in enumerate(direction) if d < 0]
-    if not steps:
-        raise InternalCheckError("null direction of a response matrix must change sign")
-    t = min(steps)
+    t = min(uniform[i] / -d for i, d in enumerate(direction) if d < 0)
     pushed = tuple(u + t * d for u, d in zip(uniform, direction))
-    stats = tuple(
-        (label, sum((u * r for u, r in zip(uniform, m.response_function(e))), Fraction(0)))
-        for label, e in g.effects()
-    )
+    centre = m.mixture(uniform, g.dim)
+    stats = tuple((label, inner(e, centre)) for label, e in g.effects())
     witness = IndistinguishabilityWitness(
         first=pushed, second=uniform, null_direction=direction, statistics=stats
     )

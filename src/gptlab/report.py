@@ -15,6 +15,7 @@ as `section.table.<row>.<col> = value`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable
 
 from .errors import InternalCheckError
@@ -76,8 +77,6 @@ class Report:
 
 
 def _stringify(value) -> str:
-    from fractions import Fraction
-
     if isinstance(value, Fraction):
         return format_rational(value)
     if isinstance(value, bool):

@@ -118,6 +118,9 @@ def extend_theory(g: Gpt, b: BonusElement) -> ExtensionOutcome:
         grown = [(b.label, b.vector)]
     else:
         raise InputError(f"bonus element kind must be 'effect' or 'state', got {b.kind!r}")
+    clash = [label for label, _ in grown if label in dict(fixed)]
+    if clash:
+        raise InputError(f"bonus label {clash[0]!r} is already the label of a stored {b.kind}")
     raw = list(fixed) + grown
     cone = cone_from_rays([v for _, v in raw], g.dim)
     kept = reduce_named(raw, cone.rays)

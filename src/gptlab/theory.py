@@ -563,5 +563,8 @@ def nonrefinable_effects(g: Gpt) -> tuple[tuple[str, Vec], ...]:
     out = []
     for i, ray in enumerate(effect_cone(g).rays):
         atom = scale_to_effect_interval(ray, points)
-        out.append((next((l for l, v in g.effects() if v == atom), f"nr{i + 1}"), atom))
+        label = next((l for l, v in g.effects() if v == atom), f"nr{i + 1}")
+        while label in g.effect_names and g.effect(label) != atom:
+            label += "'"  # a fallback name never repeats a stored label
+        out.append((label, atom))
     return tuple(out)

@@ -3,8 +3,9 @@ definitions and the lifted vertex enumeration the double-description
 decisions are checked against, the lifted convex-hull membership reference,
 the Fraction eliminations and the Fraction same-dimension search the
 integer kernel and screen are checked against, the greedy support
-minimisation the basic LP solution made redundant,
-helpers only tests use, and seeded random instance generators.
+minimisation the basic LP solution made redundant, the model check with
+the statistics sweep the reconstruction identity made redundant, helpers
+only tests use, and seeded random instance generators.
 
 The oracles deliberately avoid the library's own algorithms: vertex
 enumeration goes through exhaustive tight-constraint subsets and plain
@@ -26,6 +27,7 @@ from gptlab.cones import Cone, double_description, member_cone
 from gptlab.contextuality import (
     NONE_FOUND_CAVEAT,
     ExactDimSearch,
+    NcomReport,
     OntModel,
     _ordered_rays,
     verify_ncom,
@@ -34,6 +36,8 @@ from gptlab.linalg import (
     Mat,
     Vec,
     basis_vec,
+    format_vec,
+    identity,
     inner,
     integerize,
     mat,
@@ -43,6 +47,7 @@ from gptlab.linalg import (
     vec_add,
     vec_scale,
     vec_sub,
+    vec_sum,
     zeros,
 )
 from gptlab.theory import (
@@ -563,3 +568,65 @@ def reference_embed_exact_dim(g: Gpt) -> ExactDimSearch:
                 return ExactDimSearch(model=model, explored=explored, caveat="")
 
     return ExactDimSearch(model=None, explored=explored, caveat=NONE_FOUND_CAVEAT)
+
+
+# ---------------------------------------------------------------------------
+# the model check with its statistics sweep, which `contextuality.verify_ncom`
+# dropped because the reconstruction identity implies it, kept to compare
+# against
+
+
+def reference_verify_ncom(m: OntModel, g: Gpt) -> NcomReport:
+    """The model check `contextuality.verify_ncom` made before it relied on
+    the reconstruction identity for the statistics, kept to compare against:
+    the same conditions plus the sweep re-deriving every stored
+    (effect, state) probability from the ontic weights and responses."""
+    violations: list[str] = []
+    flags: list[str] = []
+    n = m.ontic_size
+    if len(m.effect_frame) != n:
+        return NcomReport(False, ("frame lengths differ",), ())
+    if n == 0:
+        return NcomReport(False, ("empty ontic set",), ())
+    for v in m.state_frame + m.effect_frame:
+        if len(v) != g.dim:
+            return NcomReport(False, (f"frame vector {format_vec(v)} has wrong dimension",), ())
+
+    for i, d in enumerate(m.state_frame):
+        norm = inner(g.unit, d)
+        if norm != 1:
+            violations.append(f"<unit, D({i})> = {norm}, expected 1")
+    total = vec_sum(list(m.effect_frame), g.dim)
+    if total != g.unit:
+        violations.append(f"effect frame sums to {format_vec(total)}, not the unit")
+
+    recon = [[Fraction(0)] * g.dim for _ in range(g.dim)]
+    for d, f in zip(m.state_frame, m.effect_frame):
+        for i in range(g.dim):
+            for j in range(g.dim):
+                recon[i][j] += d[i] * f[j]
+    if tuple(tuple(row) for row in recon) != identity(g.dim):
+        violations.append("frames do not reconstruct the identity")
+
+    states = [(s_label, s, [inner(s, f) for f in m.effect_frame]) for s_label, s in g.states()]
+    effects = [(e_label, e, m.response_function(e)) for e_label, e in g.effects()]
+    for s_label, _, weights in states:
+        for i, w in enumerate(weights):
+            if w < 0:
+                violations.append(f"ontic weight of {s_label} at {i} is negative")
+    for e_label, _, responses in effects:
+        for i, val in enumerate(responses):
+            if val < 0 or val > 1:
+                violations.append(f"response of {e_label} at {i} is {val}, outside [0, 1]")
+
+    for e_label, e, responses in effects:
+        for s_label, s, weights in states:
+            if inner(weights, responses) != inner(e, s):
+                violations.append(f"statistics broken for ({e_label}, {s_label})")
+
+    if n > g.dim:
+        flags.append(
+            f"ontic cardinality {n} exceeds the theory dimension {g.dim}: "
+            "distinct ontic distributions can be empirically indistinguishable"
+        )
+    return NcomReport(ok=not violations, violations=tuple(violations), flags=tuple(flags))

@@ -245,3 +245,28 @@ def test_invalid_theory_reports_and_exits_zero(command, capture, tmp_path):
     tail = lines[lines.index("validation.consistent = no") :]
     assert tail[-1] == "verified certificates: 0"
     assert all(line.startswith("validation.") for line in tail[:-1])
+
+
+@pytest.mark.parametrize(
+    "kind, vector, label",
+    [("effect", "0,-1,2", "e1"), ("state", "-1,1/4,7/4", "p1"), ("effect", "-1,1/4,11/4", "e1")],
+)
+def test_taken_bonus_label_exits_one_naming_the_clash(kind, vector, label, monkeypatch, capsys):
+    argv = ["gptlab", "classify-resource", "trit", f"--{kind}={vector}", "--label", label, "--verify"]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: bonus label {label!r} is already the label of a stored {kind}\n"
+
+
+def test_bonus_named_like_a_fallback_atom_classifies(capture):
+    # the extension's one atom on no stored effect is named nr1 by default,
+    # so next to a bonus called nr1 it is renamed, and the verdict holds
+    args = ("classify-resource", "trit", "--effect=0,5/4,-1/4", "--verify", "--format", "structured")
+    code, out = capture(*args, "--label", "nr1")
+    assert code == 0
+    assert "resource.dependent_generator = nr1'" in out.splitlines()
+    verdict = [line for line in out.splitlines() if line.startswith("resource.classification")]
+    assert verdict == [line for line in capture(*args)[1].splitlines() if line.startswith("resource.classification")]

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 from unittest.mock import patch
@@ -22,7 +23,7 @@ from gptlab.contextuality import (
     verify_ncom,
 )
 from gptlab.errors import InputError
-from gptlab.linalg import identity, inner, outer, vec, zeros
+from gptlab.linalg import identity, inner, outer, vec, vec_scale, zeros
 from gptlab.theory import build_gpt, theory_table
 
 from helpers import (
@@ -359,6 +360,23 @@ def test_indistinguishability_rebit(theories):
     assert witness.null_direction == vec(1, -1, -1, 1)
     assert witness.verify(g, model)
     assert [p for _, p in witness.statistics] == [HALF, HALF, HALF, HALF]
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [
+        lambda w: replace(w, statistics=tuple((label, Fraction(0)) for label, _ in w.statistics)),
+        lambda w: replace(w, statistics=()),
+        lambda w: replace(w, null_direction=vec_scale(-1, w.null_direction)),
+    ],
+    ids=["zero statistics", "empty statistics", "negated direction"],
+)
+def test_indistinguishability_verify_rejects_forgeries(theories, forge):
+    g = theories["rebit"]
+    model = embed_lp(g).model
+    witness = indistinguishability_witness(g, model)
+    assert witness.verify(g, model)
+    assert not forge(witness).verify(g, model)
 
 
 def test_indistinguishability_none_for_dirac(theories):

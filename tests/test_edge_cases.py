@@ -172,20 +172,40 @@ def test_structured_table_lines():
     assert "statistics.probability_table.s4.e4 = 1" in text
 
 
-def test_oversized_random_models_carry_witnesses():
+def _oversized_random_models():
+    """(theory, model) for the oversized embed_lp models of twelve seeded
+    unsharp-pair theories; the construction reliably oversizes."""
     from random import Random
 
-    from gptlab.contextuality import indistinguishability_witness
     from helpers import random_pair_subgpt
 
     rng = Random(5)
-    seen = 0
+    found = []
     for _ in range(12):
         dim = rng.randint(2, 3)
         g = random_pair_subgpt(rng, dim)
         result = embed_lp(g)
         if result.found and result.model.ontic_size > g.dim:
-            witness = indistinguishability_witness(g, result.model)
-            assert witness is not None and witness.verify(g, result.model)
-            seen += 1
-    assert seen  # the unsharp-pair construction reliably oversizes
+            found.append((g, result.model))
+    assert found
+    return found
+
+
+def test_oversized_random_models_carry_witnesses():
+    from gptlab.contextuality import indistinguishability_witness
+
+    for g, model in _oversized_random_models():
+        witness = indistinguishability_witness(g, model)
+        assert witness is not None and witness.verify(g, model)
+
+
+def test_witness_direction_is_the_response_matrix_null_vector():
+    """The state frame and the response matrix <e, D(l)> of a valid theory
+    share their row space, so their canonical null bases agree."""
+    from gptlab.contextuality import indistinguishability_witness
+    from gptlab.linalg import mat, null_space
+
+    for g, model in _oversized_random_models():
+        responses = mat([model.response_function(e) for e in g.effect_vectors])
+        witness = indistinguishability_witness(g, model)
+        assert witness.null_direction == null_space(responses)[0]

@@ -1,5 +1,6 @@
 """Source hygiene of the package, read from its syntax trees: no imported
-name goes unused, and no check is a bare `assert`, which `python -O`
+name goes unused, every import sits at module level, where it runs once and
+not on every call, and no check is a bare `assert`, which `python -O`
 strips and which escapes the CLI as a traceback instead of exit code 2."""
 
 import ast
@@ -40,3 +41,19 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text())
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert at lines {lines}; raise InternalCheckError instead"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_sit_at_module_level(path):
+    tree = ast.parse(path.read_text())
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    lines = sorted(
+        {
+            node.lineno
+            for scope in ast.walk(tree)
+            if isinstance(scope, scopes)
+            for node in ast.walk(scope)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        }
+    )
+    assert not lines, f"{path.name}: import inside a function or class at lines {lines}"

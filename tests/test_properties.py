@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gptlab.cones import cone_from_rays, dual_cone, member_cone
-from gptlab.contextuality import embed_lp, model_dimension_bound, verify_ncom
+from gptlab.contextuality import OntModel, embed_lp, model_dimension_bound, verify_ncom
 from gptlab.linalg import inner, vec_add, vec_scale, vec_sum
 from gptlab.theory import (
     FIX_EFFECTS,
@@ -26,6 +26,7 @@ from helpers import (
     random_pair_subgpt,
     random_pointed_cone_rays,
     random_subgpt,
+    reference_verify_ncom,
 )
 
 seeds = st.integers(min_value=0, max_value=10**9)
@@ -102,6 +103,39 @@ def test_embeddings_verify_and_respect_rank_bound(seed, dim):
     assert result.found
     assert verify_ncom(result.model, g).ok
     assert result.model.ontic_size >= model_dimension_bound(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seeds,
+    st.integers(min_value=2, max_value=3),
+    st.booleans(),
+    st.booleans(),
+    st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2), max_denominator=4),
+)
+def test_model_check_agrees_with_the_statistics_sweep(seed, dim, pairs, perturb, delta):
+    """The reconstruction identity implies the statistics, so dropping their
+    sweep changes no verdict and, on a model that keeps the identity, no
+    violation: checked on embed_lp models and on copies with one frame
+    entry moved by a small rational."""
+    rng = Random(seed)
+    g = (random_pair_subgpt if pairs else random_subgpt)(rng, dim)
+    model = embed_lp(g).model
+    if model is None:
+        return
+    if perturb and delta:
+        frames = [list(model.state_frame), list(model.effect_frame)]
+        side = rng.randrange(2)
+        k, i = rng.randrange(model.ontic_size), rng.randrange(dim)
+        v = list(frames[side][k])
+        v[i] += delta
+        frames[side][k] = tuple(v)
+        model = OntModel(state_frame=tuple(frames[0]), effect_frame=tuple(frames[1]))
+    report, reference = verify_ncom(model, g), reference_verify_ncom(model, g)
+    assert report.ok == reference.ok
+    assert report.flags == reference.flags
+    swept = tuple(v for v in reference.violations if not v.startswith("statistics broken"))
+    assert report.violations == swept
 
 
 @settings(max_examples=30, deadline=None)

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gptlab import catalog
-from gptlab.analyses import _no_restriction_by_lp
+from gptlab.analyses import _no_restriction_by_lp, resource_report
 from gptlab.cones import cones_equal
-from gptlab.errors import InputError
+from gptlab.errors import InputError, InternalCheckError
 from gptlab.linalg import inner, vec, vec_sub
 from gptlab.resources import (
     CLASSICAL,
@@ -257,3 +257,39 @@ def test_no_restriction_audit_reads_the_stored_generators(trit, kind, text):
     ]
     assert bounded
     assert not any(_no_restriction_by_lp(fewer) for fewer in bounded)
+
+
+SCAN = [Fraction(n, 4) for n in range(-4, 9)]  # -1 .. 2, a 13 x 13 grid of (t, s)
+
+
+def _report_outcome(host, b):
+    """'ok' when the report builds and re-verifies, else the rejection."""
+    try:
+        resource_report(host, b).verify_all()
+    except InputError as exc:
+        return str(exc)
+    return "ok"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["effect", "state"]),
+    st.sampled_from(SCAN),
+    st.sampled_from(SCAN),
+    st.sampled_from([f"{p}{i}" for p in ("e", "p", "nr") for i in (1, 2, 3)]),
+)
+def test_bonus_labels_taken_by_the_host_are_rejected_not_crashed_on(kind, t, s, label):
+    """A bonus label that a stored generator of its side carries is an input
+    error naming it; any other label gets the verdict the default one gets.
+    No label reaches an internal check failure."""
+    host = catalog.get("classical_trit")
+    b = BonusElement(kind, label, (t, s, 1 - t - s))
+    try:
+        outcome = _report_outcome(host, b)
+    except InternalCheckError as exc:
+        pytest.fail(f"internal check failure for label {label!r}: {exc}")
+    side = host.effect_names if kind == "effect" else host.state_names
+    if label in side:
+        assert outcome == f"bonus label {label!r} is already the label of a stored {kind}"
+    else:
+        assert outcome == _report_outcome(host, replace(b, label="bonus"))
