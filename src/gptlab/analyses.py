@@ -9,7 +9,7 @@ sorted canonically and no ambient state enters.
 
 from __future__ import annotations
 
-from .cones import member_cone
+from .cones import MembershipCertificate, member_cone
 from .contextuality import (
     OntModel,
     classify,
@@ -21,7 +21,7 @@ from .contextuality import (
     verify_ncom,
 )
 from .errors import InputError, InternalCheckError
-from .linalg import format_vec, inner
+from .linalg import format_vec, inner, integerize
 from .report import Report, labelled_coeffs, table_from_rows, vector_list
 from .resources import classify_bonus
 from .theory import (
@@ -29,10 +29,12 @@ from .theory import (
     BonusElement,
     Gpt,
     complete,
+    effect_cone,
     max_effect_rays,
     max_state_points,
     min_model_dimension,
     no_restriction_check,
+    state_cone,
     theory_table,
     validate,
 )
@@ -76,34 +78,37 @@ def _finite_model(lp_result) -> str:
 
 
 def _no_restriction_section(report: Report, g: Gpt):
+    """Each witness is checked by a facet of the stored cone that separates
+    it over the stored generators, which suffices: every point outside a
+    polyhedral cone violates one of its facets (Fukuda & Prodon 1996)."""
     check = no_restriction_check(g)
     s = report.section("no_restriction")
     s.add("holds", check.holds)
     s.add("maximal state extreme points", vector_list(max_state_points(g)))
-    if check.state_witnesses:
-        s.add("missing states", vector_list(check.state_witnesses))
-        for w in check.state_witnesses:
+    for side, witnesses, cone, generators, where in (
+        ("state", check.state_witnesses, state_cone(g), g.state_vectors, "stored state set"),
+        ("effect", check.effect_witnesses, effect_cone(g), g.effect_vectors, "stored effect cone"),
+    ):
+        if witnesses:
+            s.add(f"missing {side}s", vector_list(witnesses))
+        for w in witnesses:
             report.add_check(
-                f"state witness {format_vec(w)} lies outside the stored state set",
-                lambda w=w: not member_cone(w, g.state_vectors).inside,
-            )
-    if check.effect_witnesses:
-        s.add("missing effects", vector_list(check.effect_witnesses))
-        for w in check.effect_witnesses:
-            report.add_check(
-                f"effect witness {format_vec(w)} lies outside the stored effect cone",
-                lambda w=w: not member_cone(w, g.effect_vectors).inside,
+                f"{side} witness {format_vec(w)} lies outside the {where}",
+                lambda w=w, facets=cone.facets, generators=generators: any(
+                    inner(n, w) < 0 and MembershipCertificate(False, None, n).verify(w, generators)
+                    for n in facets
+                ),
             )
     return check
 
 
-def _no_restriction_by_lp(g: Gpt) -> bool:
-    """The no-restriction property re-decided by one membership LP per
-    maximal state point and effect ray over the stored generators,
-    independently of the ray-set test in `no_restriction_check`."""
-    return all(member_cone(p, g.state_vectors).inside for p in max_state_points(g)) and all(
-        member_cone(h, g.effect_vectors).inside for h in max_effect_rays(g)
-    )
+def _no_restriction_by_stored(g: Gpt) -> bool:
+    """Every maximal state point is a stored state and every maximal effect
+    ray a stored effect's canonical ray, each a one-term expansion, so a
+    pass proves no-restriction.  For a valid g, whose stored hull lies in
+    the maximal set, no-restriction forces both, so the converse holds."""
+    effects = {integerize(e) for e in g.effect_vectors}
+    return set(max_state_points(g)) <= set(g.state_vectors) and set(max_effect_rays(g)) <= effects
 
 
 def _classification_section(report: Report, g: Gpt, heading: str = "classification"):
@@ -338,10 +343,9 @@ def resource_report(g: Gpt, b: BonusElement) -> Report:
     if verdict.extended is not None:
         s.add("extended effect generators", vector_list(verdict.extended.effect_vectors))
         s.add("extended state generators", vector_list(verdict.extended.state_vectors))
-        ext = verdict.extended
         report.add_check(
             "extended theory satisfies the no-restriction property",
-            lambda: _no_restriction_by_lp(ext),
+            lambda: _no_restriction_by_stored(verdict.extended),
         )
     if verdict.expelled:
         s.add("expelled generators", ", ".join(label for label, _ in verdict.expelled))

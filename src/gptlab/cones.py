@@ -23,9 +23,12 @@ and no rank: extremality is inclusion of the generators' tight facet sets
 
 The exact simplex in `lp` serves `member_cone` alone, whose answer is a
 certificate that gets printed or consumed: an expansion or a separating
-functional, re-verified before being handed out.  Hull questions on the
-unit slice are conic questions and go through it too, and so does the
-simplex-embedding question of `contextuality.embed_lp`.
+functional, re-verified before being handed out.  It answers only
+questions whose expansion no cone representation gives: the
+simplex-embedding question of `contextuality.embed_lp`, the evidence for
+an emptied state set, and hull questions on the unit slice, which are
+conic questions and come only from the original states that
+`complete --verify` checks against a completion.
 """
 
 from __future__ import annotations
@@ -305,9 +308,12 @@ def member_cone(q: Vec, generators: Sequence[Vec]) -> MembershipCertificate:
     sum c_i = 1.  Every convex question gptlab asks meets that premise: the
     states of a validated theory are normalised (`validate` reports
     `state-normalization`, and every builder stops at an invalid theory),
-    and each query is an original state or a maximal state point, scaled
-    by 1/<u, ray>.  `embed_lp` asks a conic question, with no slice: is the
-    flattened identity in the cone of the flattened outer products?  An
+    and the only convex queries are the original states that
+    `complete --verify` checks against the completion.  The other callers
+    ask for an expansion: `embed_lp` asks a conic question, with no slice:
+    is the flattened identity in the cone of the flattened outer products?
+    `resources.extend_theory` expands -unit over the extended effect cone
+    as evidence that a bonus empties the state set.  An
     empty generator list goes to the solver like any other: q is inside iff
     q = 0, and otherwise the Farkas vector separates it."""
     result = lp.solve_feasibility(list(generators), q)

@@ -121,6 +121,10 @@ class BonusElement:
     label: str
     vector: Vec
 
+    def __post_init__(self) -> None:
+        # exact entries for every caller, as `build_gpt` gives its generators
+        object.__setattr__(self, "vector", vec_from(self.vector))
+
 
 def build_gpt(
     dim: int,

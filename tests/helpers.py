@@ -1,6 +1,7 @@
 """Shared test utilities: independent brute-force oracles, the LP
 definitions and the lifted vertex enumeration the double-description
 decisions are checked against, the lifted convex-hull membership reference,
+the membership-LP no-restriction audit the stored-generator audit replaced,
 the Fraction eliminations and the Fraction same-dimension search the
 integer kernel and screen are checked against, the greedy support
 minimisation the basic LP solution made redundant, the model check with
@@ -144,6 +145,15 @@ def lp_no_restriction_gaps(g: Gpt):
         if not member_cone(h, effect_cone(g).rays).inside
     )
     return states, effects
+
+
+def reference_no_restriction_by_lp(g: Gpt) -> bool:
+    """The no-restriction property re-decided by one membership LP per
+    maximal state point and effect ray over the stored generators,
+    independently of the ray-set test in `no_restriction_check`."""
+    return all(member_cone(p, g.state_vectors).inside for p in max_state_points(g)) and all(
+        member_cone(h, g.effect_vectors).inside for h in max_effect_rays(g)
+    )
 
 
 def effect_set_vertices(g: Gpt) -> tuple[Vec, ...]:

@@ -4,13 +4,16 @@ The fast paths (extremality from tight facets, facet-sign membership, ray
 set differences, nonrefinable effects from per-ray scaling) are checked
 against their LP definitions in `helpers`, and the bundled theories pin how
 many LPs and double descriptions each decision may run.  An LP runs only
-where it backs a certificate.  The cone memo rests on two identities,
-checked here on cold runs: a cone rebuilt from its rays is the same cone,
-and a pointed cone rebuilt from its facets is its dual.
+where it backs a certificate: `--verify` re-checks no-restriction over the
+stored generators and facet separators, so `classify-resource` solves no
+LP and `analyze` only the embedding one.  The cone memo rests on two
+identities, checked here on cold runs: a cone rebuilt from its rays is the
+same cone, and a pointed cone rebuilt from its facets is its dual.
 """
 
 import ast
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -21,8 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gptlab
-from gptlab import catalog, cones, lp
-from gptlab.cli import run
+from gptlab import analyses, catalog, cones, lp
+from gptlab.analyses import _no_restriction_section, analyze_report
+from gptlab.cli import load_theory, run
 from gptlab.cones import (
     cone_from_facets,
     cone_from_rays,
@@ -35,6 +39,7 @@ from gptlab.cones import (
 from gptlab.contextuality import classify, embed_lp, interior_state_functional
 from gptlab.errors import InputError, InternalCheckError
 from gptlab.linalg import basis_vec, inner, integerize, rank, vec, vec_scale, vec_sub, vec_sum
+from gptlab.report import Report
 from gptlab.theory import (
     FIX_EFFECTS,
     FIX_STATES,
@@ -241,6 +246,72 @@ def test_emptied_state_set_evidence_is_the_only_lp(lp_calls):
     with pytest.raises(InputError, match=r"empties the state set; evidence: -unit = 1 \* \[-1, -1, -1\]"):
         run(["classify-resource", "trit", "--effect=-1,-1,-1"])
     assert len(lp_calls) == 1
+
+
+RESOURCE_BONUSES = [
+    "--effect=3/2,0,-1/2",
+    "--effect=1/2,1/2,1/2",
+    "--state=1/2,5/6,-1/3",
+    "--state=2/3,1/3,0",
+]
+GOLDEN = ["golden/redundant_measurement.gpt", "golden/repeated_state.gpt"]
+
+
+def theory_ref(ref: str) -> str:
+    """A bundled name as given, a test file path resolved next to this file."""
+    return str(Path(__file__).parent / ref) if ref.endswith(".gpt") else ref
+
+
+@pytest.mark.parametrize("bonus", RESOURCE_BONUSES)
+def test_classify_resource_verify_solves_no_lp(bonus, lp_calls, capsys):
+    assert run(["classify-resource", "trit", bonus, "--verify"]) == 0
+    assert "verified certificates:" in capsys.readouterr().out
+    assert lp_calls == []
+
+
+@pytest.mark.parametrize("ref", list(catalog.bundled_names()) + GOLDEN)
+def test_analyze_verify_solves_only_the_embedding_lp(ref, lp_calls, capsys):
+    assert run(["analyze", theory_ref(ref), "--verify"]) == 0
+    assert "verified certificates:" in capsys.readouterr().out
+    assert len(lp_calls) == 1
+
+
+def check_witness_separators(g):
+    """Every check `_no_restriction_section` adds passes, and the membership
+    LP agrees that each witness lies outside the stored generators."""
+    report = Report(title="")
+    check = _no_restriction_section(report, g)
+    assert len(report.verify_all()) == len(check.state_witnesses) + len(check.effect_witnesses)
+    for witnesses, generators in (
+        (check.state_witnesses, g.state_vectors),
+        (check.effect_witnesses, g.effect_vectors),
+    ):
+        assert not any(member_cone(w, generators).inside for w in witnesses)
+    return report.checks
+
+
+@pytest.mark.parametrize("ref", ["spekkens_toy", "rebit", "golden/redundant_measurement.gpt"])
+def test_witness_separators_of_restricted_theories(ref):
+    assert check_witness_separators(load_theory(theory_ref(ref)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.integers(min_value=3, max_value=4), st.sampled_from([random_subgpt, random_pair_subgpt]))
+def test_witness_separators_of_random_subgpts(seed, dim, draw):
+    check_witness_separators(draw(Random(seed), dim))
+
+
+@pytest.mark.parametrize("side", ["state", "effect"])
+def test_a_stored_generator_listed_as_missing_fails_verification(side, monkeypatch):
+    """A forged witness that is a stored generator (`s1` or `e1` of the
+    rebit) has no separating facet, so `--verify` refuses it."""
+    rebit = catalog.get("rebit")
+    check = no_restriction_check(rebit)
+    field = f"{side}_witnesses"
+    forged = replace(check, **{field: getattr(check, field) + (getattr(rebit, side)(f"{side[0]}1"),)})
+    monkeypatch.setattr(analyses, "no_restriction_check", lambda g: forged)
+    with pytest.raises(InternalCheckError, match=f"{side} witness"):
+        analyze_report(rebit).verify_all()
 
 
 def test_only_certificates_call_the_lp():

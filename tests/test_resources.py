@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gptlab import catalog
-from gptlab.analyses import _no_restriction_by_lp, resource_report
+from gptlab.analyses import _no_restriction_by_stored, resource_report
 from gptlab.cones import cones_equal
 from gptlab.errors import InputError, InternalCheckError
 from gptlab.linalg import inner, vec, vec_sub
+from gptlab.report import render_structured
 from gptlab.resources import (
     CLASSICAL,
     DIMENSION_RAISING,
@@ -32,6 +33,8 @@ from gptlab.theory import (
     state_cone,
     validate,
 )
+
+from helpers import reference_no_restriction_by_lp
 
 
 @pytest.fixture(scope="module")
@@ -247,19 +250,54 @@ def test_no_restriction_audit_reads_the_stored_generators(trit, kind, text):
     no state set, and `max_state_points` rightly raises."""
     extended = extend_theory(trit, BonusElement(kind, "b", vec(*text.split(",")))).theory
     assert len(extended.state_vectors) == len(extended.effect_vectors) == 4
-    assert _no_restriction_by_lp(extended)
+    assert _no_restriction_by_stored(extended)
     for i in range(4):
-        assert not _no_restriction_by_lp(_without(extended, "state", i))
+        assert not _no_restriction_by_stored(_without(extended, "state", i))
     bounded = [
         fewer
         for fewer in (_without(extended, "effect", i) for i in range(4))
         if all(inner(n, fewer.unit) > 0 for n in effect_cone(fewer).facets)
     ]
     assert bounded
-    assert not any(_no_restriction_by_lp(fewer) for fewer in bounded)
+    assert not any(_no_restriction_by_stored(fewer) for fewer in bounded)
 
 
 SCAN = [Fraction(n, 4) for n in range(-4, 9)]  # -1 .. 2, a 13 x 13 grid of (t, s)
+
+
+def _valid(g):
+    try:
+        return validate(g).ok
+    except InputError:  # a dropped effect that a measurement still lists
+        return False
+
+
+@pytest.mark.parametrize("kind", ["effect", "state"])
+def test_stored_audit_agrees_with_the_lp_audit_on_the_scan_grid(trit, kind):
+    """On every extension of the scan grid and every variant with one stored
+    state or effect dropped (an effect only where the rest still bound a
+    state set), the stored-generator audit implies the LP audit, and the
+    two agree on every valid theory."""
+    compared = 0
+    for t, s in product(SCAN, SCAN):
+        try:
+            extended = extend_theory(trit, BonusElement(kind, "b", (t, s, 1 - t - s))).theory
+        except InputError:
+            continue
+        variants = [extended]
+        variants += [_without(extended, "state", i) for i in range(len(extended.state_vectors))]
+        variants += [
+            fewer
+            for fewer in (_without(extended, "effect", i) for i in range(len(extended.effect_vectors)))
+            if all(inner(n, fewer.unit) > 0 for n in effect_cone(fewer).facets)
+        ]
+        for g in variants:
+            stored, by_lp = _no_restriction_by_stored(g), reference_no_restriction_by_lp(g)
+            assert by_lp or not stored
+            if _valid(g):
+                assert stored == by_lp
+            compared += 1
+    assert compared
 
 
 def _report_outcome(host, b):
@@ -293,3 +331,22 @@ def test_bonus_labels_taken_by_the_host_are_rejected_not_crashed_on(kind, t, s, 
         assert outcome == f"bonus label {label!r} is already the label of a stored {kind}"
     else:
         assert outcome == _report_outcome(host, replace(b, label="bonus"))
+
+
+def test_bonus_vector_is_converted_when_built(trit):
+    """An int or "p/q" vector is converted to Fractions when the bonus is
+    built, as `build_gpt` converts generators, and an inexact one is
+    refused there."""
+    for kind, ints, fractions in (
+        ("effect", (2, 0, -1), vec(2, 0, -1)),
+        ("state", (1, 0, 0), vec(1, 0, 0)),
+    ):
+        given_ints = render_structured(resource_report(trit, BonusElement(kind, "b", ints)))
+        given_fractions = render_structured(resource_report(trit, BonusElement(kind, "b", fractions)))
+        assert given_ints.splitlines() == given_fractions.splitlines()
+    report = resource_report(trit, BonusElement("effect", "b", (2, 0, -1)))
+    assert "resource.bonus_vector = [2, 0, -1]" in render_structured(report).splitlines()
+    assert BonusElement("effect", "b", ("3/2", "0", "-1/2")).vector == vec("3/2", 0, "-1/2")
+    for kind in ("effect", "state"):
+        with pytest.raises(InputError, match="refusing inexact scalar 1.5"):
+            BonusElement(kind, "b", (1.5, 0, -0.5))
