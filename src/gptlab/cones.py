@@ -8,14 +8,9 @@ cone with lines keeps its given generators in that form, deduplicated.
 Lines of the dual enter the facet list as pairs of opposite normals, that
 is, as equality constraints.
 
-Cones are memoized by their canonical generator set: `_reduce` keeps each
-(rays, facets) pair in one LRU bounded by `_MEMO_SIZE` entries.  Both lists
-are canonical, so a run is also recorded under its reduced rays, since a
-cone rebuilt from them is the same cone, and, for a pointed cone, under its
-facets with the pair swapped: the facet normals of a pointed cone are the
-extreme rays of its dual (Fukuda & Prodon 1996), so the dual comes from the
-same run.  A cone with lines gets no such entry; a run over its facets
-returns its lineality and rays, not its generators.
+Cones are memoized by their canonical generator set in one bounded
+`lru_cache` (`_reduce`); a cone whose dual is already known, as for the
+cones of `theory.closed_theory`, is entered where that is known.
 
 Yes/no questions are answered from the two representations, with no LP
 and no rank: extremality is inclusion of the generators' tight facet sets
@@ -33,10 +28,9 @@ conic questions and come only from the original states that
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import lp
@@ -145,24 +139,25 @@ def _generators(lineality: Sequence[Vec], rays: Sequence[Vec]) -> tuple[Vec, ...
 # generator reduction
 
 
-_Key = tuple[int, tuple[Vec, ...]]  # (dim, sorted canonical generators)
-_Pair = tuple[tuple[Vec, ...], tuple[Vec, ...]]  # (rays, facets)
-
-_memo: OrderedDict[_Key, _Pair] = OrderedDict()  # least recently used first
-_memo_lock = threading.Lock()  # lookups reorder the memo, so threads share it
 _MEMO_SIZE = 16
 
 
-def _remember(key: _Key, pair: _Pair) -> None:
-    _memo[key] = pair
-    _memo.move_to_end(key)
-    if len(_memo) > _MEMO_SIZE:
-        _memo.popitem(last=False)
+def canonical(vectors: Iterable[Vec], dim: int) -> tuple[Vec, ...]:
+    """The sorted distinct canonical forms of the nonzero vectors: a cone's key."""
+    seen: dict[Vec, None] = {}
+    for v in vectors:
+        if len(v) != dim:
+            raise DimensionMismatch(dim, len(v), "cone generator")
+        cv = integerize(v)
+        if not is_zero_vec(cv):
+            seen.setdefault(cv, None)
+    return tuple(sorted(seen))
 
 
-def _reduce(vectors: Iterable[Vec], dim: int) -> _Pair:
-    """Canonical generators of cone(vectors) and its facet normals, from one
-    double description, memoized by the canonical generator set.
+@lru_cache(maxsize=_MEMO_SIZE)
+def _reduce(current: tuple[Vec, ...], dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """Canonical generators of cone(current) and its facet normals, from one
+    double description; `current` is a `canonical` generator set.
 
     The facets are the rays of the dual, each of its lines entering as the
     pair +l, -l; equality pairs count among the facets tight at a
@@ -175,39 +170,18 @@ def _reduce(vectors: Iterable[Vec], dim: int) -> _Pair:
     1996).  A pointed cone keeps its extreme rays, a cone with lines its
     sorted, deduplicated canonical generators.
     """
-    seen: dict[Vec, None] = {}
-    for v in vectors:
-        if len(v) != dim:
-            raise DimensionMismatch(dim, len(v), "cone generator")
-        cv = integerize(v)
-        if not is_zero_vec(cv):
-            seen.setdefault(cv, None)
-    key = (dim, tuple(sorted(seen)))
-    with _memo_lock:
-        pair = _memo.get(key)
-        if pair is not None:
-            _memo.move_to_end(key)
-            return pair
-    current = key[1]
     facets = _generators(*double_description(current, dim))
     tight = [frozenset(i for i, n in enumerate(facets) if inner(n, v) == 0) for v in current]
-    pointed = all(len(t) < len(facets) for t in tight)
-    rays = current
-    if pointed:
-        rays = tuple(v for v, t in zip(current, tight) if not any(t < u for u in tight))
-    with _memo_lock:
-        _remember(key, (rays, facets))
-        _remember((dim, rays), (rays, facets))
-        if pointed:
-            _remember((dim, facets), (facets, rays))
-    return rays, facets
+    if all(len(t) < len(facets) for t in tight):
+        return tuple(v for v, t in zip(current, tight) if not any(t < u for u in tight)), facets
+    return current, facets
 
 
 def reduce_generators(vectors: Iterable[Vec]) -> tuple[Vec, ...]:
     """Canonical generators of the same cone: the extreme rays of a pointed
     cone, the sorted deduplicated generators of a cone with lines."""
     vectors = list(vectors)
-    return _reduce(vectors, len(vectors[0]))[0] if vectors else ()
+    return cone_from_rays(vectors, len(vectors[0])).rays if vectors else ()
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +207,11 @@ class Cone:
 
 
 def cone_from_rays(rays: Iterable[Vec], dim: int) -> Cone:
-    return Cone(dim, *_reduce(rays, dim))
+    return Cone(dim, *_reduce(canonical(rays, dim), dim))
 
 
 def cone_from_facets(normals: Iterable[Vec], dim: int) -> Cone:
-    facets, rays = _reduce(normals, dim)  # the same reduction, read dually
+    facets, rays = _reduce(canonical(normals, dim), dim)  # the same reduction, read dually
     return Cone(dim, rays, facets)
 
 
@@ -245,6 +219,11 @@ def dual_cone(c: Cone) -> Cone:
     """{ f : <f, r> >= 0 for every ray r }, with its own reduced rays."""
     # the facet normals of a cone are the rays of its dual, and conversely
     return Cone(c.dim, c.facets, facets=c.rays)
+
+
+def is_pointed(c: Cone) -> bool:
+    """No ray is tight at every facet, so none is a line (see `_reduce`)."""
+    return not any(all(inner(n, r) == 0 for n in c.facets) for r in c.rays)
 
 
 def is_simplicial(c: Cone) -> bool:

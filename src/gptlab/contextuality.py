@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, product
 from operator import mul
 from typing import Sequence
@@ -60,12 +59,12 @@ from .linalg import (
     zeros,
 )
 from .theory import (
-    _MEMO_SIZE,
     Gpt,
     max_effect_rays,
     max_state_points,
     no_restriction_check,
     nonrefinable_effects,
+    per_theory,
     probability_table,
     pure_states,
     require_valid,
@@ -302,15 +301,12 @@ class SubtheoryRejected(InputError):
         )
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@per_theory
 def classify(g: Gpt) -> ContextualityVerdict:
     """Noncontextual iff both extremal families are simplicial; contextual
-    verdicts attach a constructed non-unique decomposition.
-
-    Memoized by theory value with the bound of `theory`'s other per-theory
-    memos: each distinct theory is decided, and its point-mass model
-    verified, once per process, and every caller shares the one immutable
-    verdict.  A rejected theory raises again on each call."""
+    verdicts attach a constructed non-unique decomposition.  Each distinct
+    theory is decided, and its model verified, once (`theory.per_theory`);
+    a rejected theory raises again on each call."""
     require_valid(g)
     if not no_restriction_check(g).holds:
         raise SubtheoryRejected(g.name)

@@ -21,10 +21,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Iterable, Sequence
 
-from .cones import Cone, cone_from_rays, contains, dual_cone
+from .cones import Cone, canonical, cone_from_rays, contains, dual_cone, is_pointed
 from .errors import DimensionMismatch, InputError, InternalCheckError, TheoryConsistencyError
 from .linalg import (
     Mat,
@@ -81,8 +81,8 @@ class Gpt:
     name: str = ""
 
     def __hash__(self) -> int:
-        # the hash of the field values, computed once: every per-theory
-        # memo hashes its key on each lookup, and that walks every Fraction;
+        # the hash of the field values, computed once: the per-theory scope
+        # hashes its key on each lookup, and that walks every Fraction;
         # kept outside the fields, so equality and repr do not see it
         h = self.__dict__.get("_hash")
         if h is None:
@@ -185,31 +185,46 @@ def build_gpt(
 
 
 # ---------------------------------------------------------------------------
-# cached geometry
+# the per-theory scope
 #
-# Whole-theory results are memoized by theory value: the two cones, the
-# maximal state points, the pure states and the nonrefinable effects here,
-# `validate` below and `contextuality.classify`.  A Gpt is a frozen value,
-# so each is a pure function of it, and theories that differ in any field,
-# the name included, get separate entries.  Every memo is an lru_cache
-# bounded by _MEMO_SIZE theories, so a sweep over extended theories holds a
-# fixed number of them while the host, used by every operation, stays
-# cached.  The cached results are immutable values shared by all callers.
-# Under these memos, `cones` memoizes each cone by its canonical generator
-# set and serves a pointed cone's dual from the same run, so the cones of a
-# completion or an extension, built once by `closed_theory`'s caller, cost
-# no second double description here.
+# Whole-theory results are pure functions of the frozen Gpt value, the name
+# included, and are memoized in one scope per theory, in one lru_cache of
+# _MEMO_SIZE theories: a sweep over extended theories holds a fixed number
+# of them while the host, used by every operation, stays cached.
 
 _MEMO_SIZE = 8
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
+def _scope(g: Gpt) -> dict:
+    return {}
+
+
+def per_theory(fn):
+    """fn(g), computed once in g's scope; a call that raises stores nothing."""
+
+    @wraps(fn)
+    def memoized(g: Gpt):
+        scope = _scope(g)
+        if fn.__name__ in scope:
+            return scope[fn.__name__]
+        return scope.setdefault(fn.__name__, fn(g))
+
+    return memoized
+
+
+@per_theory
 def effect_cone(g: Gpt) -> Cone:
     return cone_from_rays(g.effect_vectors, g.dim)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@per_theory
 def state_cone(g: Gpt) -> Cone:
+    # states on the facets of a pointed effect cone generate its dual, whose
+    # rays those facets are (Fukuda & Prodon 1996): no second run
+    ec = effect_cone(g)
+    if canonical(g.state_vectors, g.dim) == ec.facets and is_pointed(ec):
+        return dual_cone(ec)
     return cone_from_rays(g.state_vectors, g.dim)
 
 
@@ -238,7 +253,7 @@ def close_effects(state_cone: Cone, state_points: Sequence[Vec]) -> tuple[Vec, .
     )
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@per_theory
 def max_state_points(g: Gpt) -> tuple[Vec, ...]:
     """Extreme points of the largest state set the effects allow."""
     return close_states(effect_cone(g), g.unit)
@@ -253,13 +268,13 @@ def max_effect_rays(g: Gpt) -> tuple[Vec, ...]:
 def scale_to_effect_interval(h: Vec, states: Sequence[Vec]) -> Vec:
     """The maximal scaling of the direction h with <h, s> <= 1 on every
     listed (normalised) state: the extreme effect on that ray."""
-    bounds = [Fraction(1) / inner(s, h) for s in states if inner(s, h) > 0]
-    if not bounds:
+    top = max((p for p in (inner(s, h) for s in states) if p > 0), default=None)
+    if top is None:
         raise TheoryConsistencyError(
             f"direction {format_vec(h)} is bounded by no state; "
             "the effect interval is unbounded"
         )
-    return vec_scale(min(bounds), h)
+    return vec_scale(Fraction(1) / top, h)
 
 
 def in_effect_set(g: Gpt, e: Vec) -> bool:
@@ -372,6 +387,10 @@ def _base_violations(g: Gpt) -> list[Violation]:
     if rank(mat(g.state_vectors)) != g.dim:
         out.append(Violation("states-span", "state generators do not span the ambient space"))
     for p in g.pvvms:
+        unknown = ", ".join(repr(l) for l in p.outcome_labels if l not in g.effect_names)
+        if unknown:
+            out.append(Violation("pvvm-label", f"measurement {p.name!r} lists unknown effects {unknown}"))
+            continue
         total = vec_sum([g.effect(l) for l in p.outcome_labels], g.dim)
         if total != g.unit:
             out.append(
@@ -383,13 +402,10 @@ def _base_violations(g: Gpt) -> list[Violation]:
     return out
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@per_theory
 def validate(g: Gpt) -> ValidationReport:
     """Check every theory invariant; violations are data, not faults.
-
-    Memoized by theory value (bounded by _MEMO_SIZE, see "cached
-    geometry"): each distinct theory is checked once per process, and every
-    caller shares the one immutable report."""
+    Each distinct theory is checked once (see "the per-theory scope")."""
     out = _base_violations(g)
     if not out and g.claims_no_restriction:
         # an asserted-but-false no-restriction claim is reported, never
@@ -491,7 +507,8 @@ def closed_theory(
     atoms `f1, f2, ...` of its dual order interval, scaled against the kept
     states (fix-states).  It asserts the no-restriction property (callers
     check it) and keeps those of g's measurements whose outcomes are all
-    still present with the same label and vector."""
+    still present with the same label and vector.  Its scope starts with
+    `cone` and, if `cone` is pointed, its dual (see `state_cone`)."""
     if mode == FIX_EFFECTS:
         points = close_states(cone, g.unit)
         effects, states = kept, [(f"d{i + 1}", p) for i, p in enumerate(points)]
@@ -504,7 +521,7 @@ def closed_theory(
         for p in g.pvvms
         if all(by_label.get(label) == g.effect(label) for label in p.outcome_labels)
     )
-    return Gpt(
+    closed = Gpt(
         dim=g.dim,
         unit=g.unit,
         effect_names=tuple(n for n, _ in effects),
@@ -515,6 +532,12 @@ def closed_theory(
         pvvms=pvvms,
         name=name,
     )
+    fixed, other = ("effect_cone", "state_cone") if mode == FIX_EFFECTS else ("state_cone", "effect_cone")
+    scope = _scope(closed)
+    scope[fixed] = cone
+    if is_pointed(cone):
+        scope[other] = dual_cone(cone)
+    return closed
 
 
 def reduce_named(
@@ -535,7 +558,7 @@ def reduce_named(
 # extremal elements
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@per_theory
 def pure_states(g: Gpt) -> tuple[tuple[str, Vec], ...]:
     """Generators that are extreme points of the state set, in input order;
     a repeated vector keeps its first label.  g must be valid (callers run
@@ -546,7 +569,7 @@ def pure_states(g: Gpt) -> tuple[tuple[str, Vec], ...]:
     return tuple(pair for pair in g.states() if pair in kept)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@per_theory
 def nonrefinable_effects(g: Gpt) -> tuple[tuple[str, Vec], ...]:
     """Extreme effects on extreme rays of the effect cone: the effects that
     admit no split into two nonzero, non-proportional effects.

@@ -16,14 +16,13 @@ implementation that shares no code path with them.
 
 from __future__ import annotations
 
-import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 from random import Random
 from unittest.mock import patch
 
-from gptlab import cones, linalg, lp
+from gptlab import cones, linalg, lp, theory
 from gptlab.cones import Cone, double_description, member_cone
 from gptlab.contextuality import (
     NONE_FOUND_CAVEAT,
@@ -59,6 +58,7 @@ from gptlab.theory import (
     max_state_points,
     require_valid,
     scale_to_effect_interval,
+    state_cone,
 )
 
 
@@ -376,15 +376,19 @@ def checked_pivot():
 
 
 def clear_theory_caches():
-    """Empty every memo in gptlab, the per-theory caches, those of
-    `validate` and `classify` and the cone memo of `cones._reduce` included,
-    so the next call of each runs cold."""
-    cones._memo.clear()
-    for name, module in list(sys.modules.items()):
-        if name == "gptlab" or name.startswith("gptlab."):
-            for f in vars(module).values():
-                if hasattr(f, "cache_clear"):
-                    f.cache_clear()
+    """Empty gptlab's two caches, the per-theory scopes and the cone cache,
+    so the next call of each memoized function runs cold."""
+    theory._scope.cache_clear()
+    cones._reduce.cache_clear()
+
+
+def check_scope_cones(g: Gpt) -> None:
+    """g's effect and state cones, however they entered its scope, equal
+    cold reductions of its stored generators, rays and facets as tuples."""
+    warm = (effect_cone(g), state_cone(g))
+    cones._reduce.cache_clear()
+    cold = (cones.cone_from_rays(g.effect_vectors, g.dim), cones.cone_from_rays(g.state_vectors, g.dim))
+    assert [(c.rays, c.facets) for c in warm] == [(c.rays, c.facets) for c in cold]
 
 
 def _solve_square(rows, rhs):

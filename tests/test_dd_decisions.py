@@ -6,9 +6,10 @@ against their LP definitions in `helpers`, and the bundled theories pin how
 many LPs and double descriptions each decision may run.  An LP runs only
 where it backs a certificate: `--verify` re-checks no-restriction over the
 stored generators and facet separators, so `classify-resource` solves no
-LP and `analyze` only the embedding one.  The cone memo rests on two
-identities, checked here on cold runs: a cone rebuilt from its rays is the
-same cone, and a pointed cone rebuilt from its facets is its dual.
+LP and `analyze` only the embedding one.  The cones entered without a
+double description rest on two identities, checked here on cold runs: a
+cone rebuilt from its rays is the same cone, and a pointed cone rebuilt
+from its facets is its dual.
 """
 
 import ast
@@ -24,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gptlab
-from gptlab import analyses, catalog, cones, lp
+from gptlab import analyses, catalog, cones, lp, theory
 from gptlab.analyses import _no_restriction_section, analyze_report
 from gptlab.cli import load_theory, run
 from gptlab.cones import (
@@ -40,6 +41,7 @@ from gptlab.contextuality import classify, embed_lp, interior_state_functional
 from gptlab.errors import InputError, InternalCheckError
 from gptlab.linalg import basis_vec, inner, integerize, rank, vec, vec_scale, vec_sub, vec_sum
 from gptlab.report import Report
+from gptlab.theoryfile import parse_text, serialize
 from gptlab.theory import (
     FIX_EFFECTS,
     FIX_STATES,
@@ -55,6 +57,7 @@ from gptlab.theory import (
 )
 
 from helpers import (
+    check_scope_cones,
     clear_theory_caches,
     is_full_dimensional,
     is_pointed,
@@ -428,9 +431,10 @@ def test_classify_with_warm_caches_runs_no_double_description(name, mode, monkey
     if mode is not None:
         g = complete(g, mode)
     classify(g)
-    # decide again with only the verdict memos cold: the geometry stays warm
-    classify.cache_clear()
-    validate.cache_clear()
+    # decide again with only the two cones warm
+    scope = theory._scope(g)
+    for key in set(scope) - {"effect_cone", "state_cone"}:
+        del scope[key]
     runs = []
     dd = cones.double_description
 
@@ -452,19 +456,16 @@ def cold_cone_from_rays(gens, dim):
     return cone_from_rays(gens, dim)
 
 
-def check_memo_identities(gens, dim):
-    """Every pair one cold reduction records equals a cold reduction of its
-    key; the rays give the cone back, and only a pointed cone's facets are
-    recorded, as its dual."""
+def check_reduction_identities(gens, dim):
+    """A cold reduction of a cone's rays gives the cone back, and for a
+    pointed cone, as `cones.is_pointed` and the LP test agree, a cold
+    reduction of its facets gives its dual."""
     c = cold_cone_from_rays(gens, dim)
-    recorded = dict(cones._memo)
-    for (d, key), pair in recorded.items():
-        assert (d, *pair) == as_tuple(cold_cone_from_rays(key, d))
     assert as_tuple(cold_cone_from_rays(c.rays, dim)) == as_tuple(c)
     pointed = is_pointed(c)
+    assert cones.is_pointed(c) == pointed
     if pointed:
         assert as_tuple(cold_cone_from_rays(c.facets, dim)) == as_tuple(dual_cone(c))
-    assert ((dim, c.facets) in recorded) == pointed
     return c
 
 
@@ -474,8 +475,23 @@ def test_bundled_cones_rebuild_from_rays_and_facets(name, mode):
     g = catalog.get(name)
     if mode is not None:
         g = complete(g, mode)
-    assert check_memo_identities(g.effect_vectors, g.dim) == effect_cone(g)
-    assert check_memo_identities(g.state_vectors, g.dim) == state_cone(g)
+    assert check_reduction_identities(g.effect_vectors, g.dim) == effect_cone(g)
+    assert check_reduction_identities(g.state_vectors, g.dim) == state_cone(g)
+
+
+@pytest.mark.parametrize("mode", [None, FIX_EFFECTS, FIX_STATES])
+@pytest.mark.parametrize("name", catalog.bundled_names())
+def test_bundled_scope_cones_equal_cold_builds(name, mode):
+    g = catalog.get(name)
+    check_scope_cones(g if mode is None else complete(g, mode))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.integers(min_value=2, max_value=4), st.sampled_from([FIX_EFFECTS, FIX_STATES]))
+def test_scope_cones_equal_cold_builds_on_random_theories(seed, dim, mode):
+    g = random_theory(seed, dim)
+    check_scope_cones(g)
+    check_scope_cones(complete(g, mode))
 
 
 def independent_vectors(rng: Random, k: int, dim: int):
@@ -507,7 +523,7 @@ def generators_with_lines(rng: Random, dim: int):
 @settings(max_examples=40, deadline=None)
 @given(seeds, st.integers(min_value=2, max_value=4))
 def test_memo_identities_on_pointed_cones(seed, dim):
-    c = check_memo_identities(pointed_generators(Random(seed), dim, dim), dim)
+    c = check_reduction_identities(pointed_generators(Random(seed), dim, dim), dim)
     assert is_pointed(c)
 
 
@@ -515,21 +531,21 @@ def test_memo_identities_on_pointed_cones(seed, dim):
 @given(seeds, st.integers(min_value=2, max_value=4))
 def test_memo_identities_on_lower_dimensional_cones(seed, dim):
     rng = Random(seed)
-    c = check_memo_identities(pointed_generators(rng, dim, rng.randint(1, dim - 1)), dim)
+    c = check_reduction_identities(pointed_generators(rng, dim, rng.randint(1, dim - 1)), dim)
     assert is_pointed(c) and not is_full_dimensional(c)
 
 
 @settings(max_examples=40, deadline=None)
 @given(seeds, st.integers(min_value=1, max_value=4))
 def test_memo_identities_on_cones_with_lines(seed, dim):
-    c = check_memo_identities(generators_with_lines(Random(seed), dim), dim)
+    c = check_reduction_identities(generators_with_lines(Random(seed), dim), dim)
     assert not is_pointed(c)
 
 
 @settings(max_examples=40, deadline=None)
 @given(seeds, st.integers(min_value=1, max_value=4))
 def test_memo_identities_on_random_cones(seed, dim):
-    check_memo_identities(random_generators(Random(seed), dim), dim)
+    check_reduction_identities(random_generators(Random(seed), dim), dim)
 
 
 @pytest.mark.parametrize("mode", [FIX_EFFECTS, FIX_STATES])
@@ -552,6 +568,29 @@ def test_completion_cones_cost_no_double_description(name, mode, monkeypatch):
     assert runs == []
 
 
+@pytest.mark.parametrize("mode", [FIX_EFFECTS, FIX_STATES])
+@pytest.mark.parametrize("name", catalog.bundled_names())
+def test_a_no_restriction_analysis_runs_one_double_description(name, mode, monkeypatch):
+    # a completion read back from its file: no `closed_theory` entered its
+    # cones, so the state cone is the effect cone's dual by `state_cone`
+    g = parse_text(serialize(complete(catalog.get(name), mode)))
+    clear_theory_caches()
+    runs = []
+    dd = cones.double_description
+    monkeypatch.setattr(cones, "double_description", lambda *args: runs.append(args) or dd(*args))
+    analyze_report(g).verify_all()
+    assert len(runs) == 1
+
+
+def test_a_state_set_on_the_facets_of_a_cone_with_lines_gets_its_own_run():
+    # the upper half-plane keeps its redundant generator (1, 1), as a cone
+    # with lines does, so its dual's facets are not its rays
+    effects = [("a", (1, 0)), ("b", (-1, 0)), ("c", (1, 1)), ("d", (0, 1))]
+    g = build_gpt(2, (0, 1), effects, [("s", (0, 1))], False)
+    assert effect_cone(g).facets == ((0, 1),) and not cones.is_pointed(effect_cone(g))
+    check_scope_cones(g)
+
+
 @contextmanager
 def no_rank():
     """`cones.rank` patched to raise inside the block."""
@@ -565,12 +604,10 @@ def no_rank():
 
 def check_rank_free_reduction(gens, dim):
     """A cold reduction that computes no rank keeps the LP reduction of a
-    pointed cone and every canonical generator of a cone with lines, and
-    records the dual exactly when the cone is pointed."""
+    pointed cone and every canonical generator of a cone with lines."""
     with no_rank():
         c = cold_cone_from_rays(gens, dim)
     pointed = is_pointed(c)
-    assert ((dim, c.facets) in cones._memo) == pointed
     if pointed:
         assert c.rays == lp_reduce_generators(gens)
     else:

@@ -1,12 +1,13 @@
 """Whole-theory decisions are memoized by theory value, within a bound.
 
 `validate` and `classify` run once per distinct theory in a process, so a
-`classify-resource` sweep decides its host once; every per-theory memo in
-`theory` and `contextuality` shares one bound, so a sweep over many
-extended theories holds a fixed number of them.  Under them, `cones`
-memoizes each cone by its canonical generators within its own bound, so an
-extension costs one double description.  A theory hashes by value and
-computes that hash once.
+`classify-resource` sweep decides its host once; every per-theory result
+in `theory` and `contextuality` lives in one bounded scope per theory, so a
+sweep over many extended theories holds a fixed number of them.  Under
+them, `cones` memoizes each cone by its canonical generators within its
+own bound, and `closed_theory` enters the cones it holds, so an extension
+costs one double description.  A theory hashes by value and computes that
+hash once.
 """
 
 import copy
@@ -17,7 +18,7 @@ import subprocess
 import sys
 import threading
 from collections import Counter
-from contextlib import redirect_stdout
+from contextlib import contextmanager, redirect_stdout
 from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -31,7 +32,7 @@ from gptlab.cones import cone_from_rays
 from gptlab.contextuality import classify
 from gptlab.linalg import vec
 from gptlab.resources import classify_bonus, extend_theory
-from gptlab.theory import BonusElement, validate
+from gptlab.theory import BonusElement, effect_cone, state_cone, validate
 from gptlab.theoryfile import serialize, parse_text
 
 from helpers import clear_theory_caches
@@ -53,17 +54,32 @@ SWEEP = [
 ]
 
 
+@contextmanager
+def recorded(module, name):
+    """Record the theory each call of module.name gets inside the block: a
+    theory is validated when `theory._base_violations` runs on it, and
+    classified when `contextuality.no_restriction_check`, which only
+    `classify` calls, does."""
+    seen = []
+    original = getattr(module, name)
+
+    def recording(g):
+        seen.append(g)
+        return original(g)
+
+    with patch.object(module, name, recording):
+        yield seen
+
+
+
 def test_classify_resource_sweep_decides_each_theory_once():
     clear_theory_caches()
     host = catalog.get("classical_trit")
-    validated = []
-    base = theory._base_violations
-
-    def recording(g):
-        validated.append(g)
-        return base(g)
-
-    with patch.object(theory, "_base_violations", recording), redirect_stdout(io.StringIO()):
+    with (
+        recorded(theory, "_base_violations") as validated,
+        recorded(contextuality, "no_restriction_check") as classified,
+        redirect_stdout(io.StringIO()),
+    ):
         for kind, text in SWEEP:
             run(["classify-resource", "classical_trit", f"--{kind}={text}", "--verify"])
     counts = Counter(validated)
@@ -71,33 +87,44 @@ def test_classify_resource_sweep_decides_each_theory_once():
     assert set(counts.values()) == {1}
     assert len(counts) == len(SWEEP)  # the host and nine distinct extensions
     # the host and every extension are classified, each once
-    assert classify.cache_info().misses == len(counts)
+    assert Counter(classified) == counts
 
 
 def test_memoized_verdicts_are_shared_and_keyed_by_the_whole_value():
     clear_theory_caches()
     g = catalog.get("rebit_completion")
-    verdict = classify(g)
-    assert classify(g) is verdict
-    renamed = replace(g, name="renamed")
-    assert classify(renamed) is not verdict
-    assert validate(renamed) is not validate(g)
-    assert classify.cache_info().misses == 2
-    assert validate.cache_info().misses == 2
+    with (
+        recorded(theory, "_base_violations") as validated,
+        recorded(contextuality, "no_restriction_check") as classified,
+    ):
+        verdict = classify(g)
+        assert classify(g) is verdict
+        renamed = replace(g, name="renamed")
+        assert classify(renamed) is not verdict
+        assert validate(renamed) is not validate(g)
+    assert validated == classified == [g, renamed]
 
 
 def test_every_memo_shares_one_bound_and_stays_within_it():
-    fs = {f for m in (theory, contextuality) for f in vars(m).values() if hasattr(f, "cache_parameters")}
-    assert {f.cache_parameters()["maxsize"] for f in fs} == {theory._MEMO_SIZE}
+    modules = (theory, contextuality)
+    caches = {f for m in modules for f in vars(m).values() if hasattr(f, "cache_parameters")}
+    assert caches == {theory._scope}
+    assert theory._scope.cache_parameters()["maxsize"] == theory._MEMO_SIZE
+    memoized = {n for m in modules for n, f in vars(m).items() if hasattr(f, "__wrapped__") and f not in caches}
+    assert memoized == {
+        "effect_cone", "state_cone", "max_state_points", "validate", "pure_states",
+        "nonrefinable_effects", "classify",
+    }
     clear_theory_caches()
     trit = catalog.get("classical_trit")
     extra = 2 * theory._MEMO_SIZE
-    for k in range(1, extra + 1):
-        t = 1 + Fraction(k, extra)
-        classify_bonus(trit, BonusElement("state", "b", (t, 1 - t, Fraction(0))))
-    assert classify.cache_info().misses == extra + 1
-    assert all(f.cache_info().currsize <= theory._MEMO_SIZE for f in fs)
-    assert validate.cache_info().currsize == theory._MEMO_SIZE
+    with recorded(contextuality, "no_restriction_check") as classified:
+        for k in range(1, extra + 1):
+            t = 1 + Fraction(k, extra)
+            classify_bonus(trit, BonusElement("state", "b", (t, 1 - t, Fraction(0))))
+            assert theory._scope.cache_info().currsize <= theory._MEMO_SIZE
+    assert len(classified) == len(set(classified)) == extra + 1
+    assert theory._scope.cache_info().currsize == theory._MEMO_SIZE
 
 
 def test_classify_resource_sweep_runs_one_double_description_per_operation(monkeypatch):
@@ -122,15 +149,20 @@ def test_classify_resource_sweep_runs_one_double_description_per_operation(monke
         assert extend_theory(host, BonusElement(kind, "b", vec(*text.split(",")))).expelled
 
 
-def test_cone_memo_stays_within_its_bound():
+def test_cone_memo_stays_within_its_bound(monkeypatch):
     clear_theory_caches()
-    extra = 2 * cones._MEMO_SIZE
-    for k in range(extra):
-        cone_from_rays([vec(1, 0, 0), vec(0, 1, 0), vec(k, 1, 1)], 3)
-        assert len(cones._memo) <= cones._MEMO_SIZE
-    assert len(cones._memo) == cones._MEMO_SIZE
-    # least recently used first out: the last cone is still a hit
-    assert (3, tuple(sorted([vec(0, 1, 0), vec(1, 0, 0), vec(extra - 1, 1, 1)]))) in cones._memo
+    pool = [[vec(1, 0, 0), vec(0, 1, 0), vec(k, 1, 1)] for k in range(2 * cones._MEMO_SIZE)]
+    for gens in pool:
+        cone_from_rays(gens, 3)
+    runs = []
+    dd = cones.double_description
+    monkeypatch.setattr(cones, "double_description", lambda *args: runs.append(args) or dd(*args))
+    # least recently used first out: the last cones built are still held
+    for gens in reversed(pool[-cones._MEMO_SIZE :]):
+        cone_from_rays(gens, 3)
+    assert runs == []
+    cone_from_rays(pool[0], 3)
+    assert len(runs) == 1
 
 
 @pytest.mark.parametrize("name", catalog.bundled_names())
@@ -179,20 +211,31 @@ def test_a_theory_hash_survives_pickling_between_interpreters(tmp_path):
     assert done.stdout == "True True 1\n"
 
 
-def test_cone_memo_is_safe_to_share_between_threads():
-    pool = [[vec(1, 0, 0), vec(0, 1, 0), vec(k, 1, 1), vec(1, k, 2)] for k in range(2 * cones._MEMO_SIZE)]
+def test_per_theory_scopes_are_safe_to_share_between_threads():
+    trit = catalog.get("classical_trit")
+    extra = 2 * theory._MEMO_SIZE
+    pool = [
+        extend_theory(trit, BonusElement("state", "b", (1 + Fraction(k, extra), -Fraction(k, extra), Fraction(0)))).theory
+        for k in range(1, extra + 1)
+    ]
+
+    def answers(g):
+        c, e, s = classify(g), effect_cone(g), state_cone(g)
+        return c.noncontextual, validate(g).ok, e.rays, e.facets, s.rays, s.facets
+
     clear_theory_caches()
-    expected = [cones._reduce(gens, 3) for gens in pool]
+    expected = [answers(g) for g in pool]
     errors = []
 
     def work(offset):
         try:
             for i in range(4 * len(pool)):
                 k = (offset + 7 * i) % len(pool)
-                assert cones._reduce(pool[k], 3) == expected[k]
+                assert answers(pool[k]) == expected[k]
         except Exception as exc:  # reported below, from the main thread
             errors.append(exc)
 
+    clear_theory_caches()
     threads = [threading.Thread(target=work, args=(t,)) for t in range((os.cpu_count() or 1) + 2)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -205,4 +248,4 @@ def test_cone_memo_is_safe_to_share_between_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert len(cones._memo) <= cones._MEMO_SIZE
+    assert theory._scope.cache_info().currsize <= theory._MEMO_SIZE

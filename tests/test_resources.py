@@ -34,7 +34,7 @@ from gptlab.theory import (
     validate,
 )
 
-from helpers import reference_no_restriction_by_lp
+from helpers import check_scope_cones, reference_no_restriction_by_lp
 
 
 @pytest.fixture(scope="module")
@@ -265,13 +265,6 @@ def test_no_restriction_audit_reads_the_stored_generators(trit, kind, text):
 SCAN = [Fraction(n, 4) for n in range(-4, 9)]  # -1 .. 2, a 13 x 13 grid of (t, s)
 
 
-def _valid(g):
-    try:
-        return validate(g).ok
-    except InputError:  # a dropped effect that a measurement still lists
-        return False
-
-
 @pytest.mark.parametrize("kind", ["effect", "state"])
 def test_stored_audit_agrees_with_the_lp_audit_on_the_scan_grid(trit, kind):
     """On every extension of the scan grid and every variant with one stored
@@ -294,10 +287,25 @@ def test_stored_audit_agrees_with_the_lp_audit_on_the_scan_grid(trit, kind):
         for g in variants:
             stored, by_lp = _no_restriction_by_stored(g), reference_no_restriction_by_lp(g)
             assert by_lp or not stored
-            if _valid(g):
+            if validate(g).ok:
                 assert stored == by_lp
             compared += 1
     assert compared
+
+
+@pytest.mark.parametrize("kind", ["effect", "state"])
+def test_extension_cones_equal_cold_builds_on_the_scan_grid(trit, kind):
+    """`closed_theory` enters the grown cone and its dual with no double
+    description; both equal cold reductions of the stored generators."""
+    checked = 0
+    for t, s in product(SCAN, SCAN):
+        try:
+            extended = extend_theory(trit, BonusElement(kind, "b", (t, s, 1 - t - s))).theory
+        except InputError:
+            continue
+        check_scope_cones(extended)
+        checked += 1
+    assert checked
 
 
 def _report_outcome(host, b):

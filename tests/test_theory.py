@@ -84,6 +84,16 @@ def test_validate_catches_a_measurement_that_misses_the_unit():
     ]
 
 
+def test_validate_reports_a_measurement_that_lists_a_dropped_effect():
+    # a Gpt made without build_gpt can keep a measurement over a lost effect
+    trit = catalog.get("classical_trit")
+    g = replace(trit, effect_names=trit.effect_names[:2], effect_vectors=trit.effect_vectors[:2])
+    assert [(v.code, v.message) for v in validate(g).violations][-1] == (
+        "pvvm-label",
+        "measurement 'M' lists unknown effects 'e3'",
+    )
+
+
 def test_probability_examples(theories):
     toy = theories["spekkens_toy"]
     assert probability(toy.effect("zeta5"), toy.state("eta5")) == 1
