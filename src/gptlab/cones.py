@@ -2,8 +2,11 @@
 
 A cone is stored through a reduced generator (ray) list and its facet
 normals, both read off one double-description run.  Rays are kept in a
-canonical form, integer entries with content 1 and direction preserved,
-which makes cone comparisons plain set comparisons for pointed cones.  A
+canonical form, `int` tuples with content 1 and direction preserved,
+which makes cone comparisons plain set comparisons for pointed cones; an
+int equals and hashes like the Fraction of its value, so the stored rays
+look up theory vectors' canonical forms directly.  The double description
+and the facet sign tests run on ints, with no division.  A
 cone with lines keeps its given generators in that form, deduplicated.
 Lines of the dual enter the facet list as pairs of opposite normals, that
 is, as equality constraints.
@@ -37,16 +40,13 @@ from . import lp
 from .errors import DimensionMismatch, InternalCheckError
 from .linalg import (
     Vec,
-    basis_vec,
+    _clear,
     inner,
     integerize,
     is_zero_vec,
-    mat,
     normalize_sign,
     rank,
-    vec_add,
     vec_scale,
-    vec_sub,
     vec_sum,
 )
 
@@ -61,31 +61,36 @@ def double_description(normals: Sequence[Vec], dim: int) -> tuple[tuple[Vec, ...
     Returns (lineality_basis, extreme_rays): the cone is the linear span of
     the lineality basis plus the conic hull of the rays, and the rays are
     extreme modulo lineality.  Incremental halfspace insertion with the
-    combinatorial adjacency test.
+    combinatorial adjacency test, on integers: the normals are cleared of
+    denominators once, and every new vector is an integer combination
+    reduced to content 1.
     """
-    lineality: list[Vec] = [basis_vec(i, dim) for i in range(dim)]
+    lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays: list[tuple[Vec, frozenset[int]]] = []
 
-    active = [n for n in normals if not is_zero_vec(n)]
+    active = [_clear(n)[0] for n in normals if not is_zero_vec(n)]
     for idx, a in enumerate(active):
         lin_vals = [inner(a, l) for l in lineality]
         pivot = next((i for i, d in enumerate(lin_vals) if d != 0), None)
         if pivot is not None:
             lp_vec = lineality[pivot]
             dp = lin_vals[pivot]
-            new_lineality = [
-                vec_sub(l, vec_scale(d / dp, lp_vec))
-                for i, (l, d) in enumerate(zip(lineality, lin_vals))
-                if i != pivot
-            ]
+            sign = 1 if dp > 0 else -1
+
+            def project(v: Vec, d: int) -> Vec:
+                """|dp| v - sign(dp) d lp_vec, the direction of v - (d / dp) lp_vec:
+                v moved onto <a, x> = 0 along lp_vec when d = <a, v>."""
+                return integerize(tuple(sign * (dp * x - d * y) for x, y in zip(v, lp_vec)))
+
+            new_lineality = [project(l, d) for i, (l, d) in enumerate(zip(lineality, lin_vals)) if i != pivot]
             new_rays: list[tuple[Vec, frozenset[int]]] = []
             for r, tight in rays:
-                shifted = vec_sub(r, vec_scale(inner(a, r) / dp, lp_vec))
+                shifted = project(r, inner(a, r))
                 if is_zero_vec(shifted):
                     raise InternalCheckError("ray collapsed into lineality during projection")
-                new_rays.append((integerize(shifted), tight | {idx}))
-            pivot_ray = lp_vec if dp > 0 else vec_scale(-1, lp_vec)
-            new_rays.append((integerize(pivot_ray), frozenset(range(idx))))
+                new_rays.append((shifted, tight | {idx}))
+            pivot_ray = lp_vec if dp > 0 else tuple(-x for x in lp_vec)
+            new_rays.append((pivot_ray, frozenset(range(idx))))
             lineality = new_lineality
             rays = new_rays
             continue
@@ -113,10 +118,7 @@ def double_description(normals: Sequence[Vec], dim: int) -> tuple[tuple[Vec, ...
         for i in plus:
             for j in minus:
                 if adjacent(i, j):
-                    combo = vec_add(
-                        vec_scale(vals[i], rays[j][0]),
-                        vec_scale(-vals[j], rays[i][0]),
-                    )
+                    combo = tuple(vals[i] * y - vals[j] * x for x, y in zip(rays[i][0], rays[j][0]))
                     new_rays.append((integerize(combo), (rays[i][1] & rays[j][1]) | {idx}))
         rays = new_rays
 
@@ -131,7 +133,7 @@ def _generators(lineality: Sequence[Vec], rays: Sequence[Vec]) -> tuple[Vec, ...
     out = list(rays)
     for l in lineality:
         out.append(l)
-        out.append(vec_scale(-1, l))
+        out.append(tuple(-x for x in l))
     return tuple(sorted(out))
 
 
@@ -229,14 +231,15 @@ def is_pointed(c: Cone) -> bool:
 def is_simplicial(c: Cone) -> bool:
     if len(c.rays) != c.dim:
         return False
-    return rank(mat(c.rays)) == c.dim
+    return rank(c.rays) == c.dim
 
 
 def contains(c: Cone, q: Vec) -> bool:
     """q in c, by the signs of the facet normals (no LP, no certificate)."""
     if len(q) != c.dim:
         raise DimensionMismatch(c.dim, len(q), "membership query")
-    return all(inner(n, q) >= 0 for n in c.facets)
+    cleared, _ = _clear(q)
+    return all(inner(n, cleared) >= 0 for n in c.facets)
 
 
 def cones_equal(a: Cone, b: Cone) -> bool:

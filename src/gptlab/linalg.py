@@ -1,10 +1,14 @@
 """Exact rational linear algebra on plain tuples.
 
 Scalars are ``fractions.Fraction`` (arbitrary-precision, always reduced,
-positive denominator), vectors are tuples of Fractions and matrices are
-tuples of row vectors.  No floating point enters anywhere: every verdict
-downstream is an exact geometric fact, so a single rounding step would make
-nonexistence results meaningless.
+positive denominator) or ``int``, vectors are tuples of them and matrices
+are tuples of row vectors.  Theory vectors, coefficients and reports are
+Fractions; canonical directions (`integerize`, `normalize_sign`, null
+spaces, and so every ray and facet of a cone) are int tuples with content
+1.  An int equals and hashes like the Fraction of the same value, so the two
+kinds compare and look each other up freely.  No floating point enters
+anywhere: every verdict downstream is an exact geometric fact, so a single
+rounding step would make nonexistence results meaningless.
 
 Every elimination is one fraction-free Gauss-Jordan step, `pivot`
 (Bareiss 1968), applied to denominator-cleared integer rows that share one
@@ -18,12 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import DimensionMismatch, InputError, InternalCheckError
 
 Scalar = Union[int, str, Fraction]
-Vec = tuple[Fraction, ...]
+Vec = tuple[Union[Fraction, int], ...]
 Mat = tuple[Vec, ...]
 
 
@@ -123,11 +128,12 @@ def is_zero_vec(v: Vec) -> bool:
     return all(x == 0 for x in v)
 
 
-def inner(a: Vec, b: Vec) -> Fraction:
-    """Standard coordinate inner product, exact."""
+def inner(a: Vec, b: Vec) -> Fraction | int:
+    """Standard coordinate inner product, exact: an int when both vectors
+    are int tuples, a Fraction when either holds a Fraction."""
     if len(a) != len(b):
         raise DimensionMismatch(len(a), len(b), "inner product")
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+    return sum(map(mul, a, b))
 
 
 def outer(a: Vec, b: Vec) -> Mat:
@@ -137,20 +143,20 @@ def outer(a: Vec, b: Vec) -> Mat:
 # ---------------------------------------------------------------------------
 # scaling normalisation
 
-def integerize(v: Vec) -> Vec:
-    """Scale by a positive rational so entries are integers with content 1.
+def integerize(v: Vec) -> tuple[int, ...]:
+    """Scale by a positive rational to an int tuple with content 1.
 
     The direction of the vector is preserved; this is the canonical form
     for rays of a cone, where flipping the sign would change the object.
     """
     ints, _ = _clear(v)
     content = gcd(*ints) or 1  # the zero vector stays zero
-    return tuple(Fraction(n // content) for n in ints)
+    return tuple(n // content for n in ints)
 
 
-def normalize_sign(v: Vec) -> Vec:
+def normalize_sign(v: Vec) -> tuple[int, ...]:
     """Canonical form for sign-free vectors (null-space and lineality
-    directions): integer content-1 entries, first nonzero entry positive."""
+    directions): an int tuple with content 1, first nonzero entry positive."""
     w = integerize(v)
     for x in w:
         if x != 0:

@@ -81,7 +81,8 @@ def _stringify(value) -> str:
         return format_rational(value)
     if isinstance(value, bool):
         return "yes" if value else "no"
-    if isinstance(value, tuple) and value and isinstance(value[0], Fraction):
+    # a vector: Fractions, or the ints of a canonical direction (not bools)
+    if isinstance(value, tuple) and value and type(value[0]) in (Fraction, int):
         return format_vec(value)
     return str(value)
 

@@ -30,6 +30,7 @@ from .linalg import (
     Mat,
     Scalar,
     Vec,
+    _clear,
     format_rational,
     format_vec,
     inner,
@@ -363,14 +364,18 @@ def _base_violations(g: Gpt) -> list[Violation]:
                     f"<unit, {label}> = {format_rational(norm)}, expected 1",
                 )
             )
+    # each generator cleared once: <e, s> = <ne, ns> / (le * ls)
+    states = [(label, _clear(s)) for label, s in g.states()]
     for e_label, e in g.effects():
-        for s_label, s in g.states():
-            p = inner(e, s)
-            if p < 0 or p > 1:
+        ne, le = _clear(e)
+        for s_label, (ns, ls) in states:
+            p = inner(ne, ns)
+            if p < 0 or p > le * ls:
                 out.append(
                     Violation(
                         "probability-range",
-                        f"<{e_label}, {s_label}> = {format_rational(p)} outside [0, 1]",
+                        f"<{e_label}, {s_label}> = {format_rational(Fraction(p, le * ls))} "
+                        "outside [0, 1]",
                     )
                 )
     ec = effect_cone(g)

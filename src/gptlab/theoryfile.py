@@ -134,7 +134,10 @@ def parse_text(text: str, source: str = "<text>") -> Gpt:
             labels = tuple(piece.strip() for piece in rhs.split("+"))
             if any(not l for l in labels):
                 raise ParseError(source, line_no, "empty outcome label in measurement")
-            pvvms.append(Pvvm(pname.strip(), labels))
+            pname = pname.strip()
+            if any(p.name == pname for p in pvvms):
+                raise ParseError(source, line_no, f"duplicate measurement name {pname!r}")
+            pvvms.append(Pvvm(pname, labels))
             continue
 
         if section == "bonus":
@@ -145,7 +148,10 @@ def parse_text(text: str, source: str = "<text>") -> Gpt:
             kind, _, vec_text = rhs.partition(" ")
             if kind not in ("effect", "state"):
                 raise ParseError(source, line_no, f"bonus kind must be 'effect' or 'state', got {kind!r}")
-            bonus.append(BonusElement(kind, blabel.strip(), _parse_vector(vec_text, source, line_no)))
+            blabel = blabel.strip()
+            if any(b.label == blabel for b in bonus):
+                raise ParseError(source, line_no, f"duplicate bonus label {blabel!r}")
+            bonus.append(BonusElement(kind, blabel, _parse_vector(vec_text, source, line_no)))
             continue
 
         raise ParseError(source, line_no, f"unrecognised line {stripped!r}")

@@ -2,11 +2,11 @@
 definitions and the lifted vertex enumeration the double-description
 decisions are checked against, the lifted convex-hull membership reference,
 the membership-LP no-restriction audit the stored-generator audit replaced,
-the Fraction eliminations and the Fraction same-dimension search the
-integer kernel and screen are checked against, the greedy support
-minimisation the basic LP solution made redundant, the model check with
-the statistics sweep the reconstruction identity made redundant, helpers
-only tests use, and seeded random instance generators.
+the Fraction double description and eliminations and the Fraction
+same-dimension search the integer kernels and screen are checked against,
+the greedy support minimisation the basic LP solution made redundant, the
+model check with the statistics sweep the reconstruction identity made
+redundant, helpers only tests use, and seeded random instance generators.
 
 The oracles deliberately avoid the library's own algorithms: vertex
 enumeration goes through exhaustive tight-constraint subsets and plain
@@ -20,6 +20,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 from random import Random
+from typing import Sequence
 from unittest.mock import patch
 
 from gptlab import cones, linalg, lp, theory
@@ -32,6 +33,7 @@ from gptlab.contextuality import (
     _ordered_rays,
     verify_ncom,
 )
+from gptlab.errors import InternalCheckError
 from gptlab.linalg import (
     Mat,
     Vec,
@@ -40,6 +42,7 @@ from gptlab.linalg import (
     identity,
     inner,
     integerize,
+    is_zero_vec,
     mat,
     normalize_sign,
     null_space,
@@ -203,8 +206,80 @@ def reference_nonrefinable_effects(g: Gpt) -> set[Vec]:
 
 
 # ---------------------------------------------------------------------------
-# Fraction references for the integer elimination kernel: the Gauss-Jordan
-# and Phase-I simplex that `linalg.pivot` replaced, kept to compare against
+# Fraction references for the integer kernels: the double description that
+# integer cones replaced, and the Gauss-Jordan and Phase-I simplex that
+# `linalg.pivot` replaced, kept to compare against
+
+
+def reference_double_description(normals: Sequence[Vec], dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """`cones.double_description` over Fractions, as it was before it ran on
+    ints: V-representation of { x : <n, x> >= 0 for all n }.
+
+    Returns (lineality_basis, extreme_rays): the cone is the linear span of
+    the lineality basis plus the conic hull of the rays, and the rays are
+    extreme modulo lineality.  Incremental halfspace insertion with the
+    combinatorial adjacency test.
+    """
+    lineality: list[Vec] = [basis_vec(i, dim) for i in range(dim)]
+    rays: list[tuple[Vec, frozenset[int]]] = []
+
+    active = [n for n in normals if not is_zero_vec(n)]
+    for idx, a in enumerate(active):
+        lin_vals = [inner(a, l) for l in lineality]
+        pivot = next((i for i, d in enumerate(lin_vals) if d != 0), None)
+        if pivot is not None:
+            lp_vec = lineality[pivot]
+            dp = lin_vals[pivot]
+            new_lineality = [
+                vec_sub(l, vec_scale(d / dp, lp_vec))
+                for i, (l, d) in enumerate(zip(lineality, lin_vals))
+                if i != pivot
+            ]
+            new_rays: list[tuple[Vec, frozenset[int]]] = []
+            for r, tight in rays:
+                shifted = vec_sub(r, vec_scale(inner(a, r) / dp, lp_vec))
+                if is_zero_vec(shifted):
+                    raise InternalCheckError("ray collapsed into lineality during projection")
+                new_rays.append((integerize(shifted), tight | {idx}))
+            pivot_ray = lp_vec if dp > 0 else vec_scale(-1, lp_vec)
+            new_rays.append((integerize(pivot_ray), frozenset(range(idx))))
+            lineality = new_lineality
+            rays = new_rays
+            continue
+
+        vals = [inner(a, r) for r, _ in rays]
+        plus = [i for i, v in enumerate(vals) if v > 0]
+        zero = [i for i, v in enumerate(vals) if v == 0]
+        minus = [i for i, v in enumerate(vals) if v < 0]
+        if not minus:
+            rays = [
+                (r, tight | {idx}) if i in zero else (r, tight)
+                for i, (r, tight) in enumerate(rays)
+            ]
+            continue
+
+        def adjacent(i: int, j: int) -> bool:
+            common = rays[i][1] & rays[j][1]
+            for k, (_, tight_k) in enumerate(rays):
+                if k != i and k != j and common <= tight_k:
+                    return False
+            return True
+
+        new_rays = [(rays[i][0], rays[i][1]) for i in plus]
+        new_rays += [(rays[i][0], rays[i][1] | {idx}) for i in zero]
+        for i in plus:
+            for j in minus:
+                if adjacent(i, j):
+                    combo = vec_add(
+                        vec_scale(vals[i], rays[j][0]),
+                        vec_scale(-vals[j], rays[i][0]),
+                    )
+                    new_rays.append((integerize(combo), (rays[i][1] & rays[j][1]) | {idx}))
+        rays = new_rays
+
+    lin_canon = tuple(sorted(normalize_sign(l) for l in lineality))
+    ray_canon = tuple(sorted(r for r, _ in rays))
+    return lin_canon, ray_canon
 
 
 def reference_rref(rows):

@@ -1,7 +1,9 @@
 """Source hygiene of the package, read from its syntax trees: no imported
 name goes unused, every import sits at module level, where it runs once and
-not on every call, and no check is a bare `assert`, which `python -O`
-strips and which escapes the CLI as a traceback instead of exit code 2."""
+not on every call, no check is a bare `assert`, which `python -O`
+strips and which escapes the CLI as a traceback instead of exit code 2, and
+the integer kernels make no true division, which on two ints would
+silently give a float."""
 
 import ast
 from pathlib import Path
@@ -13,6 +15,7 @@ import gptlab
 MODULES = sorted(Path(gptlab.__file__).parent.glob("*.py"))
 # the package's own imports are its public surface, used or not
 INTERNAL = [path for path in MODULES if path.name != "__init__.py"]
+INTEGER_KERNELS = [path for path in MODULES if path.name in ("cones.py", "lp.py")]
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -57,3 +60,16 @@ def test_imports_sit_at_module_level(path):
         }
     )
     assert not lines, f"{path.name}: import inside a function or class at lines {lines}"
+
+
+@pytest.mark.parametrize("path", INTEGER_KERNELS, ids=lambda p: p.name)
+def test_integer_kernels_make_no_true_division(path):
+    tree = ast.parse(path.read_text())
+    lines = sorted(
+        {
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+        }
+    )
+    assert not lines, f"{path.name}: true division at lines {lines}; use // on exact multiples or Fraction"

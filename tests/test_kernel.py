@@ -1,11 +1,13 @@
-"""The fraction-free elimination kernel against its Fraction references.
+"""The integer kernels against their Fraction references.
 
 `linalg.pivot` serves rank, null spaces, linear solves, dual bases and the
 LP tableau.  Each answer must equal the one plain Gauss-Jordan and the
 Fraction simplex give, pivot for pivot, and every division the kernel
-makes must be exact (`checked_pivot`).  The same-dimension search, which
-screens its candidates on the kernel's integer inverses, must explore and
-return exactly what the Fraction search does.
+makes must be exact (`checked_pivot`).  The integer double description
+must return exactly what the Fraction one does, in ints.  The
+same-dimension search, which screens its candidates on the kernel's
+integer inverses, must explore and return exactly what the Fraction search
+does.
 """
 
 from fractions import Fraction
@@ -17,6 +19,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gptlab import catalog, lp
+from gptlab.cones import double_description
 from gptlab.contextuality import _ordered_rays, embed_exact_dim
 from gptlab.linalg import SingularBasisError, _clear, _inverse_columns, dual_basis, null_space, rank, solve_linear, vec
 from gptlab.theory import max_effect_rays, max_state_points
@@ -26,6 +29,7 @@ from helpers import (
     random_pair_subgpt,
     random_subgpt,
     reference_det,
+    reference_double_description,
     reference_dual_basis,
     reference_embed_exact_dim,
     reference_null_space,
@@ -147,6 +151,27 @@ def test_inverse_columns_singular_inputs_carry_the_rank(m, actual_rank):
         with pytest.raises(SingularBasisError) as exc:
             invert(m)
         assert (exc.value.size, exc.value.actual_rank) == (len(m), actual_rank)
+
+
+@st.composite
+def normal_sets(draw):
+    """(normals, dim): few normals of few distinct values, so cones with
+    lines, redundant and repeated normals and the empty set all occur."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    count = draw(st.integers(min_value=0, max_value=6))
+    return tuple(tuple(draw(entries) for _ in range(dim)) for _ in range(count)), dim
+
+
+@settings(max_examples=80, deadline=None)
+@given(normal_sets())
+@example(((), 3))
+@example(((vec(1, 0, 0), vec(-1, 0, 0)), 3))
+@example(((vec("1/2", "-1/3", 0), vec(0, "2/3", -1), vec(1, 1, 1), vec(-2, 0, "5/3")), 3))
+def test_integer_double_description_matches_fraction_reference(case):
+    normals, dim = case
+    lineality, rays = double_description(normals, dim)
+    assert (lineality, rays) == reference_double_description(normals, dim)
+    assert all(type(x) is int for v in lineality + rays for x in v)
 
 
 @settings(max_examples=30, deadline=None)

@@ -308,6 +308,24 @@ def test_extension_cones_equal_cold_builds_on_the_scan_grid(trit, kind):
     assert checked
 
 
+def test_cones_hold_ints_and_theories_fractions(trit):
+    """Every cone on the scan grid's extensions (bonus effects and states),
+    on each bundled theory and on both of its completions holds int entries
+    only, while the theory's own vectors stay Fractions."""
+    theories = [catalog.get(name) for name in catalog.bundled_names()]
+    theories += [complete(g, mode) for g in list(theories) for mode in (FIX_EFFECTS, FIX_STATES)]
+    for kind, t, s in product(("effect", "state"), SCAN, SCAN):
+        try:
+            theories.append(extend_theory(trit, BonusElement(kind, "b", (t, s, 1 - t - s))).theory)
+        except InputError:
+            continue
+    for g in theories:
+        for c in (effect_cone(g), state_cone(g)):
+            assert all(type(x) is int for v in c.rays + c.facets for x in v)
+        vectors = (g.unit, *g.effect_vectors, *g.state_vectors, *(b.vector for b in g.bonus))
+        assert all(type(x) is Fraction for v in vectors for x in v)
+
+
 def _report_outcome(host, b):
     """'ok' when the report builds and re-verifies, else the rejection."""
     try:
