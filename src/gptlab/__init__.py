@@ -47,7 +47,6 @@ from .linalg import (
     mat,
     null_space,
     rank,
-    solve_affine,
     vec,
 )
 from .resources import ResourceVerdict, classify_bonus, extend_theory

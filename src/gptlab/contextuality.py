@@ -6,7 +6,9 @@ The decision procedures:
   exactly when the pure states and the nonrefinable effects are both
   simplicial, and a contextual verdict carries a constructive witness, a
   point with two different convex decompositions over the offending
-  generator family (`nonunique_decomposition`).
+  generator family (`nonunique_decomposition`), read off one null space:
+  that of the slice-normalised generators over a row of ones, which holds
+  every affine dependence of the family.
 
 * `embed_exact_dim` searches for a model whose ontic cardinality equals the
   ambient dimension, the only cardinality at which a model of a restricted
@@ -52,7 +54,6 @@ from .linalg import (
     null_space,
     outer,
     rank,
-    solve_affine,
     vec_scale,
     vec_sub,
     vec_sum,
@@ -194,18 +195,36 @@ def nonunique_decomposition(
 ) -> NonUniqueDecomposition | None:
     """Find a point of conv(generators) with two exact convex decompositions.
 
-    Works on the affine slice fixed by the normalizer (which must be
-    strictly positive on every generator): there every affine dependence of
-    one generator on the others sums to one automatically, and a dependence
-    with a negative coefficient closes into the two decompositions
-      C = (A_J + sum_{i in I-} |a_i| A_i) / N = (sum_{i in I+} a_i A_i) / N
-    with N the positive-part sum.  Returns None when every generator's
-    expansion set contains only componentwise-nonnegative solutions.
+    Works on the affine slice fixed by the normalizer, which must be
+    strictly positive on every generator: each generator a_i is scaled to
+    <normalizer, a_i> = 1.  Returns None iff the scaled generators are
+    affinely independent.
+
+    Every affine dependence is read off one null space, that of L: the
+    scaled generators as columns over an appended row of ones.
+
+    * A nonzero null vector c of L sums to 0, so it has both signs.  Its
+      positive and negative parts, each divided by N = sum_{c_i > 0} c_i,
+      are two convex decompositions of the one point
+      sum_{c_i > 0} c_i a_i / N.
+    * The dependent generator j, the first one in the affine hull of the
+      others, is the least index in the support of any vector of the
+      canonical basis of null_space(L); c is the first basis vector with
+      c_j != 0, which is c's first nonzero entry and so positive.
+    * alpha = -c_rest / c_j is the particular solution of
+      a_j = sum_{i != j} alpha_i a_i, sum alpha_i = 1 whose free variables
+      are zero: columns before j lie in no dependence, so the greedy basis
+      of the other generators is L's pivot set with j exchanged for c's
+      free column.
+    * On distinct extreme points alpha has a negative entry, as a_j is no
+      convex combination of the others, and decomposition 1 is a_j with
+      the generators of negative alpha.
     """
     named = list(generators)
     if not named:
         raise InputError("need at least one generator")
-    scaled: list[tuple[str, Vec]] = []
+    labels = [label for label, _ in named]
+    scaled: list[Vec] = []
     for label, v in named:
         w = inner(normalizer, v)
         if w <= 0:
@@ -213,42 +232,27 @@ def nonunique_decomposition(
                 f"normalizer is not strictly positive on generator {label!r} "
                 f"(<n, {label}> = {w})"
             )
-        scaled.append((label, vec_scale(Fraction(1) / w, v)))
+        scaled.append(vec_scale(Fraction(1) / w, v))
 
-    for j, (j_label, a_j) in enumerate(scaled):
-        rest = scaled[:j] + scaled[j + 1 :]
-        if not rest:
-            continue
-        expansion = solve_affine(a_j, [v for _, v in rest])
-        if expansion is None:
-            continue
-        alpha = expansion.negative_entry_solution()
-        if alpha is None:
-            continue
-        neg = [(label, coef) for (label, _), coef in zip(rest, alpha) if coef < 0]
-        pos = [(label, coef) for (label, _), coef in zip(rest, alpha) if coef > 0]
-        n_weight = sum((c for _, c in pos), Fraction(0))
-        by_label = dict(scaled)
-        point = vec_scale(
-            Fraction(1) / n_weight,
-            vec_sum([a_j] + [vec_scale(-coef, by_label[l]) for l, coef in neg], len(a_j)),
-        )
-        dec1 = ((j_label, Fraction(1) / n_weight),) + tuple(
-            (l, -coef / n_weight) for l, coef in neg
-        )
-        dec2 = tuple((l, coef / n_weight) for l, coef in pos)
-        witness = NonUniqueDecomposition(
-            point=point,
-            decomposition_1=dec1,
-            decomposition_2=dec2,
-            dependent_label=j_label,
-            expansion=tuple((l, c) for (l, _), c in zip(rest, alpha)),
-            generators=tuple(scaled),
-        )
-        if not witness.verify():
-            raise InternalCheckError("constructed decomposition witness failed re-verification")
-        return witness
-    return None
+    basis = null_space(tuple(zip(*scaled)) + ((1,) * len(scaled),))
+    if not basis:
+        return None
+    j = min(next(i for i, x in enumerate(c) if x) for c in basis)
+    c = next(c for c in basis if c[j])
+    n_weight = sum(x for x in c if x > 0)
+    witness = NonUniqueDecomposition(
+        point=vec_scale(
+            Fraction(1, n_weight), vec_sum([vec_scale(x, a) for x, a in zip(c, scaled) if x > 0])
+        ),
+        decomposition_1=tuple((l, Fraction(x, n_weight)) for l, x in zip(labels, c) if x > 0),
+        decomposition_2=tuple((l, Fraction(-x, n_weight)) for l, x in zip(labels, c) if x < 0),
+        dependent_label=labels[j],
+        expansion=tuple((l, Fraction(-x, c[j])) for i, (l, x) in enumerate(zip(labels, c)) if i != j),
+        generators=tuple(zip(labels, scaled)),
+    )
+    if not witness.verify():
+        raise InternalCheckError("constructed decomposition witness failed re-verification")
+    return witness
 
 
 def interior_state_functional(g: Gpt) -> Vec:

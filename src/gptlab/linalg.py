@@ -12,20 +12,19 @@ rounding step would make nonexistence results meaningless.
 
 Every elimination is one fraction-free Gauss-Jordan step, `pivot`
 (Bareiss 1968), applied to denominator-cleared integer rows that share one
-common denominator.  Rank, null spaces, linear solves and dual bases read
-their answers off one such reduction, and the exact LP in `lp` pivots its
-tableau with the same step; Fractions appear only at the API boundary.
+common denominator.  Rank, null spaces and dual bases read their answers
+off one such reduction, and the exact LP in `lp` pivots its tableau with
+the same step; Fractions appear only at the API boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
-from .errors import DimensionMismatch, InputError, InternalCheckError
+from .errors import DimensionMismatch, InputError
 
 Scalar = Union[int, str, Fraction]
 Vec = tuple[Union[Fraction, int], ...]
@@ -91,12 +90,6 @@ def format_vec(v: Vec) -> str:
 
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
-
-
-def vec_add(a: Vec, b: Vec) -> Vec:
-    if len(a) != len(b):
-        raise DimensionMismatch(len(a), len(b), "vector addition")
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def vec_sub(a: Vec, b: Vec) -> Vec:
@@ -218,21 +211,6 @@ def _eliminate(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
     return rows, pivots, det
 
 
-def _null_basis(rows: list[list[int]], pivots: list[int], ncols: int, det: int) -> tuple[Vec, ...]:
-    """The canonically signed null basis read off an `_echelon` result whose
-    first ncols columns are the matrix; one vector per free column."""
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        v = [0] * ncols
-        v[f] = det
-        for row, p in zip(rows, pivots):
-            v[p] = -row[f]
-        basis.append(normalize_sign(tuple(v)))
-    return tuple(basis)
-
-
 def rank(m: Mat) -> int:
     """Exact rank: the number of pivots of the fraction-free reduction."""
     if not m:
@@ -243,81 +221,23 @@ def rank(m: Mat) -> int:
 def null_space(m: Mat) -> tuple[Vec, ...]:
     """Basis of the right null space { v : m v = 0 }, canonically signed.
 
-    The basis may be empty; every returned vector satisfies m v = 0 exactly.
+    One vector per free column f of the reduction, supported on f and the
+    pivot columns.  The basis may be empty; every returned vector satisfies
+    m v = 0 exactly.
     """
     if not m:
         raise InputError("null space of an empty matrix is undefined")
     rows, pivots, det = _echelon(m)
-    return _null_basis(rows, pivots, len(m[0]), det)
-
-
-def solve_linear(a: Mat, b: Vec) -> tuple[Vec, tuple[Vec, ...]] | None:
-    """All solutions of a x = b: (particular, null basis), or None if empty.
-
-    The particular solution sets every free variable to zero.
-    """
-    if len(a) != len(b):
-        raise DimensionMismatch(len(a), len(b), "linear system")
-    rows, pivots, det = _echelon([tuple(row) + (rhs,) for row, rhs in zip(a, b)])
-    ncols = len(a[0])
-    if ncols in pivots:
-        return None  # a pivot in the rhs column: inconsistent
-    particular = [Fraction(0)] * ncols
-    for row, p in zip(rows, pivots):
-        particular[p] = Fraction(row[-1], det)
-    return tuple(particular), _null_basis(rows, pivots, ncols, det)
-
-
-@dataclass(frozen=True)
-class AffineExpansion:
-    """All coefficient vectors alpha with sum(alpha) = 1 expanding a target
-    over a generator list: the full solution set is
-    particular + span(null_basis)."""
-
-    particular: Vec
-    null_basis: tuple[Vec, ...]
-
-    @property
-    def unique(self) -> bool:
-        return not self.null_basis
-
-    def negative_entry_solution(self) -> Vec | None:
-        """Deterministically pick a solution with some strictly negative
-        coefficient, or None if every solution is componentwise >= 0."""
-        if any(x < 0 for x in self.particular):
-            return self.particular
-        for direction in self.null_basis:
-            for i, d in enumerate(direction):
-                if d != 0:
-                    # push coordinate i to exactly -1
-                    t = (Fraction(-1) - self.particular[i]) / d
-                    return vec_add(self.particular, vec_scale(t, direction))
-        return None
-
-
-def solve_affine(target: Vec, generators: Sequence[Vec]) -> AffineExpansion | None:
-    """Describe { alpha : sum_i alpha_i g_i = target, sum_i alpha_i = 1 }.
-
-    Returns None when the set is empty.
-    """
-    if not generators:
-        raise InputError("solve_affine needs at least one generator")
-    dim = len(target)
-    for g in generators:
-        if len(g) != dim:
-            raise DimensionMismatch(dim, len(g), "solve_affine generators")
-    rows = [tuple(g[i] for g in generators) for i in range(dim)]
-    rows.append(tuple(Fraction(1) for _ in generators))
-    rhs = target + (Fraction(1),)
-    solved = solve_linear(tuple(rows), rhs)
-    if solved is None:
-        return None
-    particular, basis = solved
-    # re-verify exactly: the expansion and its affine constraint
-    expanded = vec_sum([vec_scale(c, g) for c, g in zip(particular, generators)], dim)
-    if expanded != target or sum(particular) != 1:
-        raise InternalCheckError("affine expansion failed re-verification")
-    return AffineExpansion(particular=particular, null_basis=basis)
+    basis = []
+    for f in range(len(m[0])):
+        if f in pivots:
+            continue
+        v = [0] * len(m[0])
+        v[f] = det
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f]
+        basis.append(normalize_sign(tuple(v)))
+    return tuple(basis)
 
 
 class SingularBasisError(InputError):

@@ -123,8 +123,16 @@ class BonusElement:
     vector: Vec
 
     def __post_init__(self) -> None:
+        require_label("bonus", self.label)
         # exact entries for every caller, as `build_gpt` gives its generators
         object.__setattr__(self, "vector", vec_from(self.vector))
+
+
+def require_label(kind: str, label: str) -> None:
+    """Reject an empty or whitespace-only label, which reports would print
+    as a bare coefficient."""
+    if not label.strip():
+        raise InputError(f"{kind} label must not be empty, got {label!r}")
 
 
 def build_gpt(
@@ -154,6 +162,7 @@ def build_gpt(
     def convert(kind: str, named: Sequence[tuple[str, Iterable[Scalar]]]):
         names, vectors, seen = [], [], set()
         for label, entries in named:
+            require_label(kind, label)
             if label in seen:
                 raise InputError(f"duplicate {kind} label {label!r}")
             seen.add(label)

@@ -142,13 +142,13 @@ def parse_text(text: str, source: str = "<text>") -> Gpt:
 
         if section == "bonus":
             blabel, eq, rhs = stripped.partition("=")
-            if not eq:
+            blabel = blabel.strip()
+            if not eq or not blabel:
                 raise ParseError(source, line_no, f"expected 'label = effect|state [vector]', got {stripped!r}")
             rhs = rhs.strip()
             kind, _, vec_text = rhs.partition(" ")
             if kind not in ("effect", "state"):
                 raise ParseError(source, line_no, f"bonus kind must be 'effect' or 'state', got {kind!r}")
-            blabel = blabel.strip()
             if any(b.label == blabel for b in bonus):
                 raise ParseError(source, line_no, f"duplicate bonus label {blabel!r}")
             bonus.append(BonusElement(kind, blabel, _parse_vector(vec_text, source, line_no)))

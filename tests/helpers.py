@@ -6,7 +6,9 @@ the Fraction double description and eliminations and the Fraction
 same-dimension search the integer kernels and screen are checked against,
 the greedy support minimisation the basic LP solution made redundant, the
 model check with the statistics sweep the reconstruction identity made
-redundant, helpers only tests use, and seeded random instance generators.
+redundant, the per-generator affine search behind non-unique
+decompositions, helpers only tests use, and seeded random instance
+generators.
 
 The oracles deliberately avoid the library's own algorithms: vertex
 enumeration goes through exhaustive tight-constraint subsets and plain
@@ -29,6 +31,7 @@ from gptlab.contextuality import (
     NONE_FOUND_CAVEAT,
     ExactDimSearch,
     NcomReport,
+    NonUniqueDecomposition,
     OntModel,
     _ordered_rays,
     verify_ncom,
@@ -47,7 +50,6 @@ from gptlab.linalg import (
     normalize_sign,
     null_space,
     rank,
-    vec_add,
     vec_scale,
     vec_sub,
     vec_sum,
@@ -66,7 +68,7 @@ from gptlab.theory import (
 
 
 def mat_add(m1: Mat, m2: Mat) -> Mat:
-    return tuple(vec_add(r1, r2) for r1, r2 in zip(m1, m2))
+    return tuple(vec_sum([r1, r2]) for r1, r2 in zip(m1, m2))
 
 
 def transpose(m: Mat) -> Mat:
@@ -270,9 +272,8 @@ def reference_double_description(normals: Sequence[Vec], dim: int) -> tuple[tupl
         for i in plus:
             for j in minus:
                 if adjacent(i, j):
-                    combo = vec_add(
-                        vec_scale(vals[i], rays[j][0]),
-                        vec_scale(-vals[j], rays[i][0]),
+                    combo = vec_sum(
+                        [vec_scale(vals[i], rays[j][0]), vec_scale(-vals[j], rays[i][0])]
                     )
                     new_rays.append((integerize(combo), (rays[i][1] & rays[j][1]) | {idx}))
         rays = new_rays
@@ -330,6 +331,47 @@ def reference_solve_linear(a, b):
     for row_idx, p in enumerate(pivots):
         particular[p] = reduced[row_idx][-1]
     return tuple(particular), reference_null_space(a)
+
+
+def reference_nonunique_decomposition(generators, normalizer):
+    """The per-generator affine search one null space replaced: for each
+    slice-normalised generator a_j in turn, solve
+    a_j = sum_{i != j} alpha_i a_i, sum alpha_i = 1 by plain Gauss-Jordan and
+    take the first solution with a negative entry, the particular one or
+    else the point of its first null direction where the first moving
+    coordinate is -1, into the two decompositions."""
+    scaled = [(label, vec_scale(Fraction(1) / inner(normalizer, v), v)) for label, v in generators]
+    for j, (j_label, a_j) in enumerate(scaled):
+        rest = scaled[:j] + scaled[j + 1 :]
+        if not rest:
+            continue
+        rows = [tuple(v[k] for _, v in rest) for k in range(len(a_j))] + [(Fraction(1),) * len(rest)]
+        solved = reference_solve_linear(rows, a_j + (Fraction(1),))
+        if solved is None:
+            continue
+        alpha, basis = solved
+        if not any(x < 0 for x in alpha):
+            if not basis:
+                continue
+            i = next(i for i, d in enumerate(basis[0]) if d)
+            t = (-1 - alpha[i]) / basis[0][i]
+            alpha = tuple(a + t * d for a, d in zip(alpha, basis[0]))
+        neg = [(label, coef) for (label, _), coef in zip(rest, alpha) if coef < 0]
+        pos = [(label, coef) for (label, _), coef in zip(rest, alpha) if coef > 0]
+        n_weight = sum(c for _, c in pos)
+        by_label = dict(scaled)
+        return NonUniqueDecomposition(
+            point=vec_scale(
+                Fraction(1) / n_weight,
+                vec_sum([a_j] + [vec_scale(-coef, by_label[l]) for l, coef in neg]),
+            ),
+            decomposition_1=((j_label, Fraction(1) / n_weight),) + tuple((l, -c / n_weight) for l, c in neg),
+            decomposition_2=tuple((l, c / n_weight) for l, c in pos),
+            dependent_label=j_label,
+            expansion=tuple((l, c) for (l, _), c in zip(rest, alpha)),
+            generators=tuple(scaled),
+        )
+    return None
 
 
 def reference_dual_basis(basis):

@@ -26,8 +26,8 @@ from gptlab.linalg import (
     integerize,
     outer,
     vec,
-    vec_add,
     vec_scale,
+    vec_sum,
     zeros,
 )
 from gptlab.resources import CLASSICAL, DIMENSION_RAISING, NONCLASSICAL, classify_bonus
@@ -267,7 +267,7 @@ def test_criterion_10_property_suites():
         s1 = tuple(Fraction(rng.randint(-4, 4), 2) for _ in range(dim))
         s2 = tuple(Fraction(rng.randint(-4, 4), 2) for _ in range(dim))
         p = Fraction(rng.randint(0, 8), 8)
-        mix = vec_add(vec_scale(p, s1), vec_scale(1 - p, s2))
+        mix = vec_sum([vec_scale(p, s1), vec_scale(1 - p, s2)])
         assert inner(e, mix) == p * inner(e, s1) + (1 - p) * inner(e, s2)
         cases += 1
 

@@ -199,6 +199,17 @@ def test_file_errors_exit_one_with_a_message(argv, monkeypatch, capsys, tmp_path
     assert err.startswith("error: cannot ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("label", ["", "  "])
+def test_empty_bonus_label_exits_one(label, monkeypatch, capsys):
+    argv = ["gptlab", "classify-resource", "classical_trit", "--effect=3/2,0,-1/2", f"--label={label}"]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: bonus label must not be empty, got {label!r}\n"
+
+
 def test_internal_check_failure_exits_two(monkeypatch, capsys):
     def broken(g):
         raise InternalCheckError("planted")

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptlab import catalog, lp
+from gptlab import catalog, contextuality, lp
+from gptlab.cones import cone_from_rays
 from gptlab.contextuality import (
     OntModel,
     SubtheoryRejected,
@@ -22,16 +23,19 @@ from gptlab.contextuality import (
     nonunique_decomposition,
     verify_ncom,
 )
-from gptlab.errors import InputError
-from gptlab.linalg import identity, inner, outer, vec, vec_scale, zeros
+from gptlab.errors import InputError, InternalCheckError
+from gptlab.linalg import basis_vec, identity, inner, outer, vec, vec_scale, zeros
 from gptlab.theory import build_gpt, theory_table
 
 from helpers import (
     mat_add,
     random_classical_theory,
     random_pair_subgpt,
+    random_pointed_cone_rays,
     random_subgpt,
     reference_minimal_support,
+    reference_nonunique_decomposition,
+    reference_rref,
     state_distribution,
     support_is_independent,
 )
@@ -124,6 +128,101 @@ def test_nonunique_decomposition_rejects_bad_normalizer():
     with pytest.raises(InputError) as exc:
         nonunique_decomposition(named, vec(1, 0))
     assert "b" in str(exc.value)
+
+
+def test_nonunique_decomposition_repeated_generator():
+    # a repeat is an affine dependence: the generator's two copies are the
+    # two decompositions of one point
+    x, y, z = vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)
+    named = [("a", x), ("a2", x), ("b", y), ("c", z)]
+    w = nonunique_decomposition(named, vec(1, 1, 1))
+    assert w is not None and w.verify()
+    assert w.point == x and w.dependent_label == "a"
+    assert dict(w.decomposition_1) == {"a": 1}
+    assert dict(w.decomposition_2) == {"a2": 1}
+    assert dict(w.expansion) == {"a2": 1, "b": 0, "c": 0}
+
+
+def test_nonunique_decomposition_interior_generator():
+    # the barycentre of a triangle decomposes as itself and as the vertices
+    third = Fraction(1, 3)
+    named = [("m", vec(third, third, third)), ("a", vec(1, 0, 0)), ("b", vec(0, 1, 0)), ("c", vec(0, 0, 1))]
+    w = nonunique_decomposition(named, vec(1, 1, 1))
+    assert w is not None and w.verify()
+    assert w.point == vec(third, third, third) and w.dependent_label == "m"
+    assert dict(w.decomposition_1) == {"m": 1}
+    assert dict(w.decomposition_2) == {"a": third, "b": third, "c": third}
+
+
+def test_nonunique_decomposition_skips_a_dependence_without_the_first_generator():
+    # a square bipyramid, apex first: the square's own dependence is the
+    # first null vector, but the apex is the first generator in the affine
+    # hull of the others, so the witness comes from the second null vector
+    named = [
+        ("top", vec(0, 0, 1, 1)),
+        ("q1", vec(1, 1, 0, 1)),
+        ("q2", vec(-1, 1, 0, 1)),
+        ("q3", vec(1, -1, 0, 1)),
+        ("q4", vec(-1, -1, 0, 1)),
+        ("bottom", vec(0, 0, -1, 1)),
+    ]
+    normalizer = vec(0, 0, 0, 1)
+    w = nonunique_decomposition(named, normalizer)
+    assert w == reference_nonunique_decomposition(named, normalizer)
+    assert w.dependent_label == "top"
+    assert dict(w.decomposition_1) == {"top": HALF, "bottom": HALF}
+    assert dict(w.decomposition_2) == {"q2": HALF, "q3": HALF}
+
+
+def test_nonunique_decomposition_rechecks_the_witness_it_returns(monkeypatch):
+    # a wrong dependence that still sums to zero: only the exact re-check of
+    # the witness catches it, and it must survive python -O
+    monkeypatch.setattr(contextuality, "null_space", lambda m: ((1, -1),))
+    with pytest.raises(InternalCheckError, match="re-verification"):
+        nonunique_decomposition([("a", vec(1, 0)), ("b", vec(0, 1))], vec(1, 1))
+
+
+def _scaled(rng, family):
+    """The family with every vector scaled by a random positive rational."""
+    return [(f"g{i}", vec_scale(Fraction(rng.randint(1, 5), rng.randint(1, 3)), v)) for i, v in enumerate(family)]
+
+
+def _extreme_family(rng, dim):
+    """Distinct extreme rays of a random pointed cone, in random order.  Up
+    to dim - 2 apexes e_k + e_last over a cone in the remaining coordinates
+    lie in no affine dependence; put first half of the time, they make the
+    dependent generator a later one."""
+    apexes = rng.randint(0, dim - 2)
+    family = [(Fraction(0),) * apexes + r for r in random_pointed_cone_rays(rng, dim - apexes, extra=4)]
+    family += [basis_vec(k, dim)[:-1] + (Fraction(1),) for k in range(apexes)]
+    rays = list(cone_from_rays(family, dim).rays)
+    rng.shuffle(rays)
+    if rng.random() < 0.5:
+        rays.sort(key=lambda r: not any(r[:apexes]))
+    return rays
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 2**32 - 1))
+def test_nonunique_decomposition_matches_reference_on_extreme_families(dim, seed):
+    rng = Random(seed)
+    named = _scaled(rng, _extreme_family(rng, dim))
+    normalizer = basis_vec(dim - 1, dim)
+    assert nonunique_decomposition(named, normalizer) == reference_nonunique_decomposition(named, normalizer)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 2**32 - 1))
+def test_nonunique_decomposition_exists_iff_affinely_dependent(dim, seed):
+    # arbitrary families: repeats, interior points and collinear ones
+    rng = Random(seed)
+    count = rng.randint(1, dim + 3)
+    points = [tuple(Fraction(rng.randint(-1, 1)) for _ in range(dim - 1)) + (Fraction(1),) for _ in range(count)]
+    named = _scaled(rng, points)
+    w = nonunique_decomposition(named, basis_vec(dim - 1, dim))
+    lifted = [tuple(p[k] for p in points) for k in range(dim)] + [(1,) * count]
+    assert (w is not None) == (len(reference_rref(lifted)[1]) < count)
+    assert w is None or w.verify()
 
 
 def test_decomposition_witness_matches_classify(theories):

@@ -1,9 +1,9 @@
 """The integer kernels against their Fraction references.
 
-`linalg.pivot` serves rank, null spaces, linear solves, dual bases and the
-LP tableau.  Each answer must equal the one plain Gauss-Jordan and the
-Fraction simplex give, pivot for pivot, and every division the kernel
-makes must be exact (`checked_pivot`).  The integer double description
+`linalg.pivot` serves rank, null spaces, dual bases and the LP tableau.
+Each answer must equal the one plain Gauss-Jordan and the Fraction simplex
+give, pivot for pivot, and every division the kernel makes must be exact
+(`checked_pivot`).  The integer double description
 must return exactly what the Fraction one does, in ints.  The
 same-dimension search, which screens its candidates on the kernel's
 integer inverses, must explore and return exactly what the Fraction search
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from gptlab import catalog, lp
 from gptlab.cones import double_description
 from gptlab.contextuality import _ordered_rays, embed_exact_dim
-from gptlab.linalg import SingularBasisError, _clear, _inverse_columns, dual_basis, null_space, rank, solve_linear, vec
+from gptlab.linalg import SingularBasisError, _clear, _inverse_columns, dual_basis, null_space, rank, vec
 from gptlab.theory import max_effect_rays, max_state_points
 
 from helpers import (
@@ -34,7 +34,6 @@ from helpers import (
     reference_embed_exact_dim,
     reference_null_space,
     reference_solve_feasibility,
-    reference_solve_linear,
     support_is_independent,
 )
 
@@ -94,14 +93,6 @@ def test_null_space_and_rank_match_reference(m):
     with checked_pivot():
         assert null_space(m) == reference_null_space(m)
         assert rank(m) == len(m[0]) - len(reference_null_space(m))
-
-
-@settings(max_examples=30, deadline=None)
-@given(matrices(), st.data())
-def test_solve_linear_matches_reference(a, data):
-    b = tuple(data.draw(entries) for _ in a)
-    with checked_pivot():
-        assert solve_linear(a, b) == reference_solve_linear(a, b)
 
 
 def _inverse_of_cleared(m):

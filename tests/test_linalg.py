@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptlab import linalg
-from gptlab.errors import DimensionMismatch, InputError, InternalCheckError
+from gptlab.errors import DimensionMismatch, InputError
 from gptlab.linalg import (
     SingularBasisError,
     dual_basis,
@@ -16,10 +15,9 @@ from gptlab.linalg import (
     null_space,
     rank,
     rat,
-    solve_affine,
     vec,
-    vec_add,
     vec_scale,
+    vec_sum,
 )
 
 from helpers import transpose
@@ -91,56 +89,6 @@ def test_null_space_examples():
     assert len(two_dim) == 2
 
 
-def test_solve_affine_examples():
-    s5, s6 = vec("1/2", "1/2", "1/2"), vec("-1/2", "1/2", "1/2")
-    s7, s8 = vec("1/2", "-1/2", "1/2"), vec("-1/2", "-1/2", "1/2")
-    sol = solve_affine(s5, [s6, s7, s8])
-    assert sol.unique and sol.particular == vec(1, 1, -1)
-
-    e1, e2, e3, e4 = vec(1, 0, 1), vec(-1, 0, 1), vec(0, 1, 1), vec(0, -1, 1)
-    sol2 = solve_affine(e1, [e2, e3, e4])
-    assert sol2.unique and sol2.particular == vec(-1, 1, 1)
-
-    v = vec(3, "1/5")
-    sol3 = solve_affine(v, [v])
-    assert sol3.particular == (Fraction(1),)
-
-    assert solve_affine(vec(0, 0, 1), [vec(1, 0, 0), vec(0, 1, 0)]) is None
-
-
-def test_solve_affine_rechecks_the_solution_it_returns(monkeypatch):
-    # a wrong particular solution that still sums to one: only the exact
-    # re-check of the expansion catches it, and it must survive python -O
-    monkeypatch.setattr(linalg, "solve_linear", lambda rows, rhs: ((Fraction(1), Fraction(0)), ()))
-    with pytest.raises(InternalCheckError, match="affine expansion"):
-        solve_affine(vec(1, 1), [vec(2, 0), vec(0, 2)])
-
-
-def test_solve_affine_reverifies():
-    target = vec("2/3", "1/3", 0)
-    gens = [vec(1, 0, 0), vec(0, 1, 0), vec("1/2", "1/2", 0)]
-    sol = solve_affine(target, gens)
-    alpha = sol.particular
-    total = vec(0, 0, 0)
-    for c, g in zip(alpha, gens):
-        total = vec_add(total, vec_scale(c, g))
-    assert total == target and sum(alpha) == 1
-
-
-def test_negative_entry_solution():
-    # the expansion family of the square's centre over its own vertices
-    gens = [vec(1, 1), vec(1, -1), vec(-1, 1), vec(-1, -1)]
-    sol = solve_affine(vec(0, 0), gens)
-    assert not sol.unique
-    # uniform works, so the particular one may be nonnegative; the search
-    # must still surface a negative-entry representative
-    negative = sol.negative_entry_solution()
-    assert negative is not None and any(c < 0 for c in negative)
-
-    unique_pos = solve_affine(vec("1/2", "1/2"), [vec(1, 0), vec(0, 1)])
-    assert unique_pos.negative_entry_solution() is None
-
-
 def test_dual_basis_examples():
     std = (vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1))
     assert dual_basis(std) == std
@@ -181,7 +129,7 @@ def vec_triples(draw):
 @given(vec_triples())
 def test_inner_bilinearity(triple):
     a, b, c, s = triple
-    assert inner(vec_add(a, b), c) == inner(a, c) + inner(b, c)
+    assert inner(vec_sum([a, b]), c) == inner(a, c) + inner(b, c)
     assert inner(vec_scale(s, a), b) == s * inner(a, b)
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gptlab.cones import cone_from_rays, dual_cone, member_cone
 from gptlab.contextuality import OntModel, embed_lp, model_dimension_bound, verify_ncom
-from gptlab.linalg import inner, vec_add, vec_scale, vec_sum
+from gptlab.linalg import inner, vec_scale, vec_sum
 from gptlab.theory import (
     FIX_EFFECTS,
     complete,
@@ -160,7 +160,7 @@ def test_probability_respects_mixtures(seed, dim, p):
     rng = Random(seed)
     g = random_subgpt(rng, dim)
     s1, s2 = g.state_vectors[0], g.state_vectors[-1]
-    mix = vec_add(vec_scale(p, s1), vec_scale(1 - p, s2))
+    mix = vec_sum([vec_scale(p, s1), vec_scale(1 - p, s2)])
     for _, e in g.effects():
         assert probability(e, mix) == p * probability(e, s1) + (1 - p) * probability(e, s2)
 

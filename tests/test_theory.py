@@ -9,11 +9,12 @@ from gptlab import catalog
 from gptlab.cones import cones_equal
 from gptlab.contextuality import classify
 from gptlab.errors import InputError, TheoryConsistencyError
-from gptlab.linalg import inner, integerize, vec, vec_add, vec_scale, vec_sub
+from gptlab.linalg import inner, integerize, vec, vec_scale, vec_sub, vec_sum
 from gptlab.theoryfile import parse_path
 from gptlab.theory import (
     FIX_EFFECTS,
     FIX_STATES,
+    BonusElement,
     Pvvm,
     build_gpt,
     complete,
@@ -111,9 +112,8 @@ def test_probability_range_error_names_pair():
 
 def test_probability_convex_linearity(theories):
     reb = theories["rebit"]
-    s_mix = vec_add(
-        vec_scale(Fraction(1, 3), reb.state("s1")),
-        vec_scale(Fraction(2, 3), reb.state("s4")),
+    s_mix = vec_sum(
+        [vec_scale(Fraction(1, 3), reb.state("s1")), vec_scale(Fraction(2, 3), reb.state("s4"))]
     )
     for _, e in reb.effects():
         expected = Fraction(1, 3) * probability(e, reb.state("s1")) + Fraction(
@@ -311,7 +311,7 @@ def test_nonrefinable_effects(theories):
 def test_nonrefinable_excludes_coarse_grainings(theories):
     # a redundant coarse-grained generator is not an atom
     g = theories["spekkens_container"]
-    coarse = vec_add(g.effect("zeta1"), g.effect("zeta2"))
+    coarse = vec_sum([g.effect("zeta1"), g.effect("zeta2")])
     extended = replace(
         g,
         effect_names=g.effect_names + ("zeta12",),
@@ -336,9 +336,7 @@ def test_nonrefinable_complement_closure(theories):
 def test_pvvms_sum_to_unit(theories):
     for g in theories.values():
         for p in g.pvvms:
-            total = g.effect(p.outcome_labels[0])
-            for label in p.outcome_labels[1:]:
-                total = vec_add(total, g.effect(label))
+            total = vec_sum([g.effect(label) for label in p.outcome_labels])
             assert total == g.unit
 
 
@@ -373,6 +371,21 @@ def test_dimension_cap(monkeypatch):
     monkeypatch.setenv("GPTLAB_MAX_DIM", "12")
     g = catalog.get("spekkens_toy")
     assert g.dim == 4
+
+
+@pytest.mark.parametrize("side", ["effects", "states"])
+@pytest.mark.parametrize("label", ["", " \t"])
+def test_empty_generator_label_rejected(side, label):
+    named = {"effects": [("e", (1, 0)), ("f", (0, 1))], "states": [("p", (1, 0)), ("q", (0, 1))]}
+    named[side] = [(label, (1, 0))] + named[side][1:]
+    with pytest.raises(InputError, match=f"{side[:-1]} label must not be empty"):
+        build_gpt(dim=2, unit=(1, 1), claims_no_restriction=True, **named)
+
+
+@pytest.mark.parametrize("label", ["", "   "])
+def test_empty_bonus_label_rejected(label):
+    with pytest.raises(InputError, match="bonus label must not be empty"):
+        BonusElement("effect", label, (1, 0))
 
 
 def test_max_state_points_cached_consistency(theories):

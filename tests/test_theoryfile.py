@@ -126,6 +126,7 @@ STATES = "states:\n  s1 = [1/2, 0, 1/2]\n  s2 = [-1/2, 0, 1/2]\n  s3 = [0, 1/2, 
         ("Z = e1 + e2", "Z e1 + e2", 20, "expected 'name = label + label + ...', got 'Z e1 + e2'"),
         ("Z = e1 + e2", "Z = e1 +", 20, "empty outcome label in measurement"),
         (BONUS, BONUS.replace(" = ", " "), 24, "expected 'label = effect|state [vector]', got 'b1 effect [1, 0, 0]'"),
+        (BONUS, BONUS.replace("b1 ", " "), 24, "expected 'label = effect|state [vector]', got '= effect [1, 0, 0]'"),
         (BONUS, BONUS.replace("effect", "measurement"), 24, "bonus kind must be 'effect' or 'state', got 'measurement'"),
         ("X = e3 + e4", "X = e3 + e4\n  Z = e1 + e2", 22, "duplicate measurement name 'Z'"),
         (BONUS, BONUS + "  b1 = state [1/2, 0, 1/2]\n", 25, "duplicate bonus label 'b1'"),
