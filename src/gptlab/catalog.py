@@ -13,52 +13,34 @@ from .errors import InputError
 from .theory import Gpt, Pvvm, build_gpt
 
 
-def classical_bit() -> Gpt:
+def _classical(name: str, effect_prefix: str, state_prefix: str, measurement: str, n: int) -> Gpt:
+    """The n-level classical theory: simplex states, the n point effects and
+    the one n-outcome nonrefinable measurement they form."""
+    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    effects = [(f"{effect_prefix}{i + 1}", v) for i, v in enumerate(basis)]
     return build_gpt(
-        dim=2,
-        unit=(1, 1),
-        effects=[("e1", (1, 0)), ("e2", (0, 1))],
-        states=[("p1", (1, 0)), ("p2", (0, 1))],
+        dim=n,
+        unit=(1,) * n,
+        effects=effects,
+        states=[(f"{state_prefix}{i + 1}", v) for i, v in enumerate(basis)],
         claims_no_restriction=True,
-        pvvms=[Pvvm("M", ("e1", "e2"))],
-        name="classical_bit",
+        pvvms=[Pvvm(measurement, tuple(label for label, _ in effects))],
+        name=name,
     )
+
+
+def classical_bit() -> Gpt:
+    return _classical("classical_bit", "e", "p", "M", 2)
 
 
 def classical_trit() -> Gpt:
-    return build_gpt(
-        dim=3,
-        unit=(1, 1, 1),
-        effects=[("e1", (1, 0, 0)), ("e2", (0, 1, 0)), ("e3", (0, 0, 1))],
-        states=[("p1", (1, 0, 0)), ("p2", (0, 1, 0)), ("p3", (0, 0, 1))],
-        claims_no_restriction=True,
-        pvvms=[Pvvm("M", ("e1", "e2", "e3"))],
-        name="classical_trit",
-    )
+    return _classical("classical_trit", "e", "p", "M", 3)
 
 
 def spekkens_container() -> Gpt:
     """The four-level classical theory hosting the toy bit: simplex states,
     hypercube effects, one four-outcome nonrefinable measurement."""
-    return build_gpt(
-        dim=4,
-        unit=(1, 1, 1, 1),
-        effects=[
-            ("zeta1", (1, 0, 0, 0)),
-            ("zeta2", (0, 1, 0, 0)),
-            ("zeta3", (0, 0, 1, 0)),
-            ("zeta4", (0, 0, 0, 1)),
-        ],
-        states=[
-            ("eta1", (1, 0, 0, 0)),
-            ("eta2", (0, 1, 0, 0)),
-            ("eta3", (0, 0, 1, 0)),
-            ("eta4", (0, 0, 0, 1)),
-        ],
-        claims_no_restriction=True,
-        pvvms=[Pvvm("Q", ("zeta1", "zeta2", "zeta3", "zeta4"))],
-        name="spekkens_container",
-    )
+    return _classical("spekkens_container", "zeta", "eta", "Q", 4)
 
 
 def spekkens_toy() -> Gpt:

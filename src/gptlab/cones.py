@@ -11,9 +11,11 @@ cone with lines keeps its given generators in that form, deduplicated.
 Lines of the dual enter the facet list as pairs of opposite normals, that
 is, as equality constraints.
 
-Cones are memoized by their canonical generator set in one bounded
-`lru_cache` (`_reduce`); a cone whose dual is already known, as for the
-cones of `theory.closed_theory`, is entered where that is known.
+`cone_from_rays` and `cone_from_facets` run one double description per
+call and cache nothing: the package's one result cache is the per-theory
+scope in `theory`, which holds each theory's two cones.  A cone whose dual
+is already known, as for the cones of `theory.closed_theory` or a state
+set on the facets of its effect cone, is entered there, not rebuilt.
 
 Yes/no questions are answered from the two representations, with no LP
 and no rank: extremality is inclusion of the generators' tight facet sets
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import lp
@@ -141,11 +142,8 @@ def _generators(lineality: Sequence[Vec], rays: Sequence[Vec]) -> tuple[Vec, ...
 # generator reduction
 
 
-_MEMO_SIZE = 16
-
-
 def canonical(vectors: Iterable[Vec], dim: int) -> tuple[Vec, ...]:
-    """The sorted distinct canonical forms of the nonzero vectors: a cone's key."""
+    """The sorted distinct canonical forms of the nonzero vectors."""
     seen: dict[Vec, None] = {}
     for v in vectors:
         if len(v) != dim:
@@ -156,7 +154,6 @@ def canonical(vectors: Iterable[Vec], dim: int) -> tuple[Vec, ...]:
     return tuple(sorted(seen))
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def _reduce(current: tuple[Vec, ...], dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
     """Canonical generators of cone(current) and its facet normals, from one
     double description; `current` is a `canonical` generator set.

@@ -471,8 +471,15 @@ def embed_exact_dim(g: Gpt) -> ExactDimSearch:
     and every effect must be nonnegative on the state frame f_i / s_i, that
     is <e, c_i> >= 0; on the state side every state must be nonnegative on
     the effect frame f_i, that is <s, c_i> >= 0.  Only a candidate that
-    passes gets Fraction frames, which `verify_ncom` then checks in full.
-    The first verified hit in deterministic order is returned.
+    passes gets Fraction frames, and the first in deterministic order is
+    returned.  For a valid theory such a candidate is a model, so a failed
+    `verify_ncom` is a fault and raises `InternalCheckError`.  Effect side:
+    the dual bases give the identity, unit = sum_i s_i h_i normalisation
+    and the frame sum, the h_i (rays of the largest effect cone the states
+    allow) nonnegative weights, the screen responses >= 0, and the stored
+    complements unit - e, in the effect cone, responses <= 1.  The state
+    side swaps the roles: maximal state points are normalised and give
+    responses in [0, 1], and the screen gives the weights.
     """
     require_valid(g)
     dim = g.dim
@@ -496,8 +503,8 @@ def embed_exact_dim(g: Gpt) -> ExactDimSearch:
             effect_frame = tuple(vec_scale(s, h) for s, h in zip(scaling, chosen))
             state_frame = tuple(vec_scale(1 / s, f) for s, f in zip(scaling, duals))
             model = OntModel(state_frame=state_frame, effect_frame=effect_frame)
-            if verify_ncom(model, g).ok:
-                return ExactDimSearch(model=model, explored=explored, caveat="")
+            _require_model(model, g, InternalCheckError, "screened effect-side model failed verification: ")
+            return ExactDimSearch(model=model, explored=explored, caveat="")
 
     state_candidates = _ordered_rays(max_state_points(g))
     cleared = [_clear(s) for s in state_candidates]
@@ -510,8 +517,8 @@ def embed_exact_dim(g: Gpt) -> ExactDimSearch:
             continue
         if _nonnegative(state_gens, columns):
             model = OntModel(state_frame=chosen_states, effect_frame=_fraction_columns(columns, det))
-            if verify_ncom(model, g).ok:
-                return ExactDimSearch(model=model, explored=explored, caveat="")
+            _require_model(model, g, InternalCheckError, "screened state-side model failed verification: ")
+            return ExactDimSearch(model=model, explored=explored, caveat="")
 
     return ExactDimSearch(model=None, explored=explored, caveat=NONE_FOUND_CAVEAT)
 

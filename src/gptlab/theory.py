@@ -253,13 +253,13 @@ def close_states(effect_cone: Cone, unit: Vec) -> tuple[Vec, ...]:
     return tuple(sorted(points))
 
 
-def close_effects(state_cone: Cone, state_points: Sequence[Vec]) -> tuple[Vec, ...]:
-    """Generators of the full dual order interval of a state cone: each
-    extreme ray of its dual scaled onto [0, unit] against the (normalised)
-    state points spanning it, sorted.  Complement closure holds by
+def close_effects(state_cone: Cone, unit: Vec) -> tuple[Vec, ...]:
+    """Generators of the full dual order interval of a valid theory's state
+    cone (so <unit, n> > 0 on its rays n): each extreme ray of its dual
+    scaled onto [0, unit], sorted.  Complement closure holds by
     construction."""
     return tuple(
-        sorted(scale_to_effect_interval(h, state_points) for h in dual_cone(state_cone).rays)
+        sorted(scale_to_effect_interval(h, state_cone, unit) for h in dual_cone(state_cone).rays)
     )
 
 
@@ -275,16 +275,27 @@ def max_effect_rays(g: Gpt) -> tuple[Vec, ...]:
     return state_cone(g).facets
 
 
-def scale_to_effect_interval(h: Vec, states: Sequence[Vec]) -> Vec:
-    """The maximal scaling of the direction h with <h, s> <= 1 on every
-    listed (normalised) state: the extreme effect on that ray."""
-    top = max((p for p in (inner(s, h) for s in states) if p > 0), default=None)
-    if top is None:
+def scale_to_effect_interval(h: Vec, states: Cone, unit: Vec) -> Vec:
+    """The extreme effect on the ray of h: h times the least
+    <unit, n> / <h, n> over the rays n of the state cone with <h, n> > 0,
+    the largest scaling with <h, s> <= 1 on every normalised state
+    s = n / <unit, n> (a linear function peaks at an extreme one).  The
+    cone is that of a valid theory, so <unit, n> > 0, and the ratios are
+    compared as `int` cross products, with the unit cleared once."""
+    u, denominator = _clear(unit)
+    best = None  # (<u, n>, <h, n>) at the least ratio so far
+    for n in states.rays:
+        below = inner(h, n)
+        if below > 0:
+            above = inner(u, n)
+            if best is None or above * best[1] < best[0] * below:
+                best = (above, below)
+    if best is None:
         raise TheoryConsistencyError(
             f"direction {format_vec(h)} is bounded by no state; "
             "the effect interval is unbounded"
         )
-    return vec_scale(Fraction(1) / top, h)
+    return vec_scale(Fraction(best[0], best[1] * denominator), h)
 
 
 def in_effect_set(g: Gpt, e: Vec) -> bool:
@@ -473,7 +484,7 @@ def no_restriction_check(g: Gpt) -> NoRestrictionResult:
     # scale each missing direction onto [0, unit] so the witness is a
     # genuine effect of the maximal theory
     effect_gap = tuple(
-        scale_to_effect_interval(h, g.state_vectors) for h in max_effect_rays(g) if h not in stored
+        scale_to_effect_interval(h, state_cone(g), g.unit) for h in max_effect_rays(g) if h not in stored
     )
     return NoRestrictionResult(
         holds=not state_gap and not effect_gap,
@@ -518,16 +529,16 @@ def closed_theory(
     a theory on g's space and unit whose fixed side is `kept`, the named
     reduced generators of `cone`, and whose other side is all `cone` allows:
     the extreme points `d1, d2, ...` of its dual slice (fix-effects) or the
-    atoms `f1, f2, ...` of its dual order interval, scaled against the kept
-    states (fix-states).  It asserts the no-restriction property (callers
-    check it) and keeps those of g's measurements whose outcomes are all
-    still present with the same label and vector.  Its scope starts with
-    `cone` and, if `cone` is pointed, its dual (see `state_cone`)."""
+    atoms `f1, f2, ...` of its dual order interval (fix-states).  It asserts
+    the no-restriction property (callers check it) and keeps those of g's
+    measurements whose outcomes are all still present with the same label
+    and vector.  Its scope starts with `cone` and, if `cone` is pointed,
+    its dual (see `state_cone`)."""
     if mode == FIX_EFFECTS:
         points = close_states(cone, g.unit)
         effects, states = kept, [(f"d{i + 1}", p) for i, p in enumerate(points)]
     else:
-        atoms = close_effects(cone, [v for _, v in kept])
+        atoms = close_effects(cone, g.unit)
         effects, states = [(f"f{i + 1}", a) for i, a in enumerate(atoms)], kept
     by_label = dict(effects)
     pvvms = tuple(
@@ -589,21 +600,20 @@ def nonrefinable_effects(g: Gpt) -> tuple[tuple[str, Vec], ...]:
     admit no split into two nonzero, non-proportional effects.
 
     Each is the maximal scaling of an extreme ray inside the order interval
-    [0, U], `scale_to_effect_interval` against the maximal state points.
-    Those are the facet normals n of the effect cone divided by <n, U>,
-    which is positive in a valid theory (the effects span and complements
-    close, so U is interior), so the scaling is the facet bound: the least
-    <n, U> / <n, ray> over the facets with <n, ray> > 0.  No other
+    [0, U], `scale_to_effect_interval` against the dual of the effect cone,
+    whose rays are its facet normals n, with <n, U> > 0 as g is valid (the
+    effects span and complements close, so U is interior): the facet bound,
+    the least <n, U> / <n, ray> over the facets with <n, ray> > 0.  No other
     vertex of [0, U] can be nonrefinable: a vertex off the extreme rays has
     a conic expansion with at least two positive terms, and for
     `part = coef * ray` one of them, both `part` and `vertex - part` lie in
     the cone while `U - part = (U - vertex) + (vertex - part)` does too, so
     the vertex splits into two effects that are not proportional to it.
     """
-    points = max_state_points(g)
+    cone = effect_cone(g)
     out = []
-    for i, ray in enumerate(effect_cone(g).rays):
-        atom = scale_to_effect_interval(ray, points)
+    for i, ray in enumerate(cone.rays):
+        atom = scale_to_effect_interval(ray, dual_cone(cone), g.unit)
         label = next((l for l, v in g.effects() if v == atom), f"nr{i + 1}")
         while label in g.effect_names and g.effect(label) != atom:
             label += "'"  # a fallback name never repeats a stored label

@@ -7,8 +7,8 @@ same-dimension search the integer kernels and screen are checked against,
 the greedy support minimisation the basic LP solution made redundant, the
 model check with the statistics sweep the reconstruction identity made
 redundant, the per-generator affine search behind non-unique
-decompositions, helpers only tests use, and seeded random instance
-generators.
+decompositions, the state-list atom scaling the facet bound replaced,
+helpers only tests use, and seeded random instance generators.
 
 The oracles deliberately avoid the library's own algorithms: vertex
 enumeration goes through exhaustive tight-constraint subsets and plain
@@ -36,7 +36,7 @@ from gptlab.contextuality import (
     _ordered_rays,
     verify_ncom,
 )
-from gptlab.errors import InternalCheckError
+from gptlab.errors import InternalCheckError, TheoryConsistencyError
 from gptlab.linalg import (
     Mat,
     Vec,
@@ -62,7 +62,6 @@ from gptlab.theory import (
     max_effect_rays,
     max_state_points,
     require_valid,
-    scale_to_effect_interval,
     state_cone,
 )
 
@@ -138,6 +137,18 @@ def lp_pure_states(g: Gpt):
     return tuple(out)
 
 
+def reference_scale_to_effect_interval(h: Vec, states: Sequence[Vec]) -> Vec:
+    """The maximal scaling of the direction h with <h, s> <= 1 on every
+    listed (normalised) state: the extreme effect on that ray."""
+    top = max((p for p in (inner(s, h) for s in states) if p > 0), default=None)
+    if top is None:
+        raise TheoryConsistencyError(
+            f"direction {format_vec(h)} is bounded by no state; "
+            "the effect interval is unbounded"
+        )
+    return vec_scale(Fraction(1) / top, h)
+
+
 def lp_no_restriction_gaps(g: Gpt):
     """(missing states, missing effects) by one membership LP per maximal
     extreme point and per maximal extreme ray."""
@@ -145,7 +156,7 @@ def lp_no_restriction_gaps(g: Gpt):
         p for p in max_state_points(g) if not member_convex(p, g.state_vectors).inside
     )
     effects = tuple(
-        scale_to_effect_interval(h, g.state_vectors)
+        reference_scale_to_effect_interval(h, g.state_vectors)
         for h in max_effect_rays(g)
         if not member_cone(h, effect_cone(g).rays).inside
     )
@@ -493,17 +504,15 @@ def checked_pivot():
 
 
 def clear_theory_caches():
-    """Empty gptlab's two caches, the per-theory scopes and the cone cache,
-    so the next call of each memoized function runs cold."""
+    """Empty gptlab's one cache, the per-theory scopes, so the next call of
+    each memoized function runs cold."""
     theory._scope.cache_clear()
-    cones._reduce.cache_clear()
 
 
 def check_scope_cones(g: Gpt) -> None:
     """g's effect and state cones, however they entered its scope, equal
     cold reductions of its stored generators, rays and facets as tuples."""
     warm = (effect_cone(g), state_cone(g))
-    cones._reduce.cache_clear()
     cold = (cones.cone_from_rays(g.effect_vectors, g.dim), cones.cone_from_rays(g.state_vectors, g.dim))
     assert [(c.rays, c.facets) for c in warm] == [(c.rays, c.facets) for c in cold]
 

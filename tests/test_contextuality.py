@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gptlab import catalog, contextuality, lp
 from gptlab.cones import cone_from_rays
 from gptlab.contextuality import (
+    NcomReport,
     OntModel,
     SubtheoryRejected,
     build_ncom,
@@ -408,6 +409,25 @@ def test_embed_exact_dim_trit(theories):
     result = embed_exact_dim(theories["classical_trit"])
     assert result.found
     assert result.model.state_frame == (vec(0, 0, 1), vec(0, 1, 0), vec(1, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "make, side",
+    [
+        (lambda: catalog.get("spekkens_toy"), "effect-side"),
+        (lambda: random_subgpt(Random(7), 3), "state-side"),  # no effect-side hit
+    ],
+    ids=["spekkens_toy", "random_subgpt_7"],
+)
+def test_exact_dim_search_raises_on_a_screened_model_that_fails_its_check(make, side, monkeypatch):
+    # a candidate that passes the integer screen is a model of a valid
+    # theory, so a rejection is a fault, never "none found"
+    g = make()
+    assert embed_exact_dim(g).found
+    rejected = NcomReport(False, ("planted rejection",), ())
+    monkeypatch.setattr(contextuality, "verify_ncom", lambda m, t: rejected)
+    with pytest.raises(InternalCheckError, match=f"screened {side} model failed verification: planted rejection"):
+        embed_exact_dim(g)
 
 
 def test_embedding_monotonicity(theories):

@@ -451,21 +451,16 @@ def as_tuple(c):
     return (c.dim, c.rays, c.facets)
 
 
-def cold_cone_from_rays(gens, dim):
-    clear_theory_caches()
-    return cone_from_rays(gens, dim)
-
-
 def check_reduction_identities(gens, dim):
-    """A cold reduction of a cone's rays gives the cone back, and for a
-    pointed cone, as `cones.is_pointed` and the LP test agree, a cold
-    reduction of its facets gives its dual."""
-    c = cold_cone_from_rays(gens, dim)
-    assert as_tuple(cold_cone_from_rays(c.rays, dim)) == as_tuple(c)
+    """A reduction of a cone's rays gives the cone back, and for a pointed
+    cone, as `cones.is_pointed` and the LP test agree, a reduction of its
+    facets gives its dual; each is a fresh double description."""
+    c = cone_from_rays(gens, dim)
+    assert as_tuple(cone_from_rays(c.rays, dim)) == as_tuple(c)
     pointed = is_pointed(c)
     assert cones.is_pointed(c) == pointed
     if pointed:
-        assert as_tuple(cold_cone_from_rays(c.facets, dim)) == as_tuple(dual_cone(c))
+        assert as_tuple(cone_from_rays(c.facets, dim)) == as_tuple(dual_cone(c))
     return c
 
 
@@ -554,6 +549,7 @@ def test_completion_cones_cost_no_double_description(name, mode, monkeypatch):
     g = catalog.get(name)
     clear_theory_caches()
     validate(g)
+    state_cone(g)
     runs = []
     dd = cones.double_description
 
@@ -606,7 +602,7 @@ def check_rank_free_reduction(gens, dim):
     """A cold reduction that computes no rank keeps the LP reduction of a
     pointed cone and every canonical generator of a cone with lines."""
     with no_rank():
-        c = cold_cone_from_rays(gens, dim)
+        c = cone_from_rays(gens, dim)
     pointed = is_pointed(c)
     if pointed:
         assert c.rays == lp_reduce_generators(gens)

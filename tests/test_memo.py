@@ -3,11 +3,10 @@
 `validate` and `classify` run once per distinct theory in a process, so a
 `classify-resource` sweep decides its host once; every per-theory result
 in `theory` and `contextuality` lives in one bounded scope per theory, so a
-sweep over many extended theories holds a fixed number of them.  Under
-them, `cones` memoizes each cone by its canonical generators within its
-own bound, and `closed_theory` enters the cones it holds, so an extension
-costs one double description.  A theory hashes by value and computes that
-hash once.
+sweep over many extended theories holds a fixed number of them.  That
+scope is the package's only result cache: `closed_theory` enters the cones
+it holds, so an extension costs one double description.  A theory hashes
+by value and computes that hash once.
 """
 
 import copy
@@ -26,9 +25,8 @@ from unittest.mock import patch
 
 import pytest
 
-from gptlab import catalog, cones, contextuality, theory
+from gptlab import catalog, cones, contextuality, linalg, lp, resources, theory
 from gptlab.cli import run
-from gptlab.cones import cone_from_rays
 from gptlab.contextuality import classify
 from gptlab.linalg import vec
 from gptlab.resources import classify_bonus, extend_theory
@@ -106,7 +104,7 @@ def test_memoized_verdicts_are_shared_and_keyed_by_the_whole_value():
 
 
 def test_every_memo_shares_one_bound_and_stays_within_it():
-    modules = (theory, contextuality)
+    modules = (linalg, lp, cones, theory, contextuality, resources)
     caches = {f for m in modules for f in vars(m).values() if hasattr(f, "cache_parameters")}
     assert caches == {theory._scope}
     assert theory._scope.cache_parameters()["maxsize"] == theory._MEMO_SIZE
@@ -147,22 +145,6 @@ def test_classify_resource_sweep_runs_one_double_description_per_operation(monke
     assert len(runs) == len(SWEEP)
     for kind, text in (SWEEP[0], SWEEP[5]):
         assert extend_theory(host, BonusElement(kind, "b", vec(*text.split(",")))).expelled
-
-
-def test_cone_memo_stays_within_its_bound(monkeypatch):
-    clear_theory_caches()
-    pool = [[vec(1, 0, 0), vec(0, 1, 0), vec(k, 1, 1)] for k in range(2 * cones._MEMO_SIZE)]
-    for gens in pool:
-        cone_from_rays(gens, 3)
-    runs = []
-    dd = cones.double_description
-    monkeypatch.setattr(cones, "double_description", lambda *args: runs.append(args) or dd(*args))
-    # least recently used first out: the last cones built are still held
-    for gens in reversed(pool[-cones._MEMO_SIZE :]):
-        cone_from_rays(gens, 3)
-    assert runs == []
-    cone_from_rays(pool[0], 3)
-    assert len(runs) == 1
 
 
 @pytest.mark.parametrize("name", catalog.bundled_names())

@@ -8,12 +8,21 @@ from hypothesis import strategies as st
 
 from gptlab.cones import cone_from_rays, dual_cone, member_cone
 from gptlab.contextuality import OntModel, embed_lp, model_dimension_bound, verify_ncom
-from gptlab.linalg import inner, vec_scale, vec_sum
+from gptlab.linalg import dual_basis, inner, rank, vec_scale, vec_sum
 from gptlab.theory import (
     FIX_EFFECTS,
+    FIX_STATES,
+    Gpt,
+    build_gpt,
     complete,
+    effect_cone,
+    max_effect_rays,
+    max_state_points,
     no_restriction_check,
+    nonrefinable_effects,
     probability,
+    pure_states,
+    state_cone,
     theory_table,
     validate,
 )
@@ -26,6 +35,7 @@ from helpers import (
     random_pair_subgpt,
     random_pointed_cone_rays,
     random_subgpt,
+    reference_scale_to_effect_interval,
     reference_verify_ncom,
 )
 
@@ -92,6 +102,55 @@ def test_completion_idempotent_and_dual(seed, dim):
     twice = complete(once, FIX_EFFECTS)
     assert set(once.state_vectors) == set(twice.state_vectors)
     assert set(once.effect_vectors) == set(twice.effect_vectors)
+
+
+def in_random_basis(g: Gpt, rng: Random) -> Gpt:
+    """g with states mapped to T s and effects and unit to T^-T e for a
+    random rational invertible T: every probability is unchanged, and the
+    unit generally gets denominators."""
+    while True:
+        t = [tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(g.dim)) for _ in range(g.dim)]
+        if rank(t) == g.dim:
+            break
+    inverse = dual_basis(tuple(zip(*t)))  # the rows of T^-1
+
+    def effect(e):
+        return vec_sum([vec_scale(x, f) for x, f in zip(e, inverse)], g.dim)
+
+    return build_gpt(
+        g.dim,
+        effect(g.unit),
+        [(label, effect(e)) for label, e in g.effects()],
+        [(label, tuple(inner(row, s) for row in t)) for label, s in g.states()],
+        g.claims_no_restriction,
+        g.pvvms,
+        name=g.name,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.integers(min_value=2, max_value=4), st.booleans())
+def test_atoms_match_the_state_list_scaling(seed, dim, closed):
+    # the facet bound over a stored cone scales every atom as the state
+    # lists did: nonrefinable effects against the maximal state points,
+    # effect gaps against the stored states, completion atoms against the
+    # pure states; restricted theories and no-restriction ones
+    rng = Random(seed)
+    g = (random_subgpt, random_pair_subgpt, random_classical_theory)[seed % 3](rng, dim)
+    if closed:
+        g = complete(g, FIX_EFFECTS)
+    g = in_random_basis(g, rng)
+    assert validate(g).ok
+    atoms = tuple(reference_scale_to_effect_interval(r, max_state_points(g)) for r in effect_cone(g).rays)
+    assert tuple(v for _, v in nonrefinable_effects(g)) == atoms
+    stored = set(effect_cone(g).rays)
+    gap = tuple(
+        reference_scale_to_effect_interval(h, g.state_vectors) for h in max_effect_rays(g) if h not in stored
+    )
+    assert no_restriction_check(g).effect_witnesses == gap
+    pure = [v for _, v in pure_states(g)]
+    completion = tuple(sorted(reference_scale_to_effect_interval(h, pure) for h in state_cone(g).facets))
+    assert complete(g, FIX_STATES).effect_vectors == completion
 
 
 @settings(max_examples=30, deadline=None)

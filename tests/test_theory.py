@@ -26,12 +26,18 @@ from gptlab.theory import (
     probability,
     probability_table,
     pure_states,
+    scale_to_effect_interval,
     state_cone,
     theory_table,
     validate,
 )
 
-from helpers import member_convex, random_pair_subgpt, random_subgpt
+from helpers import (
+    member_convex,
+    random_pair_subgpt,
+    random_subgpt,
+    reference_scale_to_effect_interval,
+)
 
 HALF = Fraction(1, 2)
 
@@ -306,6 +312,17 @@ def test_nonrefinable_effects(theories):
 
     bit = theories["classical_bit"]
     assert {v for _, v in nonrefinable_effects(bit)} == {vec(1, 0), vec(0, 1)}
+
+
+@pytest.mark.parametrize("name", ["rebit", "spekkens_toy"])
+def test_a_direction_bounded_by_no_state_raises(name, theories):
+    g = theories[name]
+    down = vec_scale(-1, g.unit)  # negative on every state
+    with pytest.raises(TheoryConsistencyError, match="bounded by no state") as exc:
+        scale_to_effect_interval(down, state_cone(g), g.unit)
+    with pytest.raises(TheoryConsistencyError) as reference:
+        reference_scale_to_effect_interval(down, g.state_vectors)
+    assert str(exc.value) == str(reference.value)
 
 
 def test_nonrefinable_excludes_coarse_grainings(theories):
