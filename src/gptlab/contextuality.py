@@ -15,9 +15,11 @@ The decision procedures:
   theory leaves no empirically inaccessible ontic freedom.  The state-side
   frame must then be a basis of allowed states and the effect-side frame its
   exact dual basis, so the search runs over dimension-sized subsets of the
-  extreme rays of the two maximal cones.  Verified hits are conclusive;
-  exhaustion is conclusive only within that candidate class and is labelled
-  as such.
+  extreme rays of the two maximal cones.  A subset is screened by its
+  facets, not inverted, and a facet that no orientation makes supporting
+  rules out a whole block of subsets at once.  Verified hits are
+  conclusive; exhaustion is conclusive only within that candidate class and
+  is labelled as such.
 
 * `embed_lp` decides unbounded-cardinality models by one membership
   question (`cones.member_cone`): is the identity in the cone of the outer
@@ -35,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 from operator import mul
 from typing import Sequence
 
@@ -43,10 +46,7 @@ from .errors import InputError, InternalCheckError
 from .linalg import (
     Mat,
     Vec,
-    SingularBasisError,
     _clear,
-    _fraction_columns,
-    _inverse_columns,
     dual_basis,
     format_vec,
     identity,
@@ -457,78 +457,113 @@ def embed_exact_dim(g: Gpt) -> ExactDimSearch:
 
     At that cardinality the state frame must be a basis of allowed states
     and the effect frame its exact dual basis with the frame-sum condition,
-    so candidates are dimension-sized subsets of (a) extreme rays of the
-    dual of the state cone for the effect side, then (b) extreme points of
-    the maximal state set for the state side.  The candidate vectors are
-    cleared of denominators once, before the search, and each candidate
-    costs one integer inversion (`linalg._inverse_columns`: the dual
-    vectors f_i as integer columns c_i over one denominator d > 0); a
-    dependent subset is skipped when it raises `SingularBasisError`.
+    so candidates are dimension-sized subsets S = (b_1 ... b_d), in
+    `combinations` order, of (a) extreme rays of the dual of the state cone,
+    then (b) extreme points of the maximal state set.  With G the stored
+    effects (a) or states (b), S passes if it is nonsingular and every
+    column c_j of B^-1 has <x, c_j> >= 0 on G.  On side (a) <unit, c_j> > 0
+    follows, as unit - x lies in the effect cone for each x in G and G
+    spans.  The first S to pass, given frames by `dual_basis`, is a model
+    of a valid theory, so a failed `verify_ncom` raises
+    `InternalCheckError`.  Side (a): the unit is sum_j <c_j, unit> b_j, so
+    the dual bases give the identity, the normalisation and the frame sum,
+    the b_j (rays of the largest effect cone the states allow) nonnegative
+    weights, the screen responses >= 0, and the stored complements
+    unit - e, in the effect cone, responses <= 1.  Side (b) swaps the
+    roles: maximal state points give responses in [0, 1], the screen the
+    weights.
 
-    The candidate is screened on integers, against the unit and the
-    generators cleared of denominators once: on the effect side the unique
-    scalings s_i = <f_i, unit> with sum_i s_i h_i = unit must be positive
-    and every effect must be nonnegative on the state frame f_i / s_i, that
-    is <e, c_i> >= 0; on the state side every state must be nonnegative on
-    the effect frame f_i, that is <s, c_i> >= 0.  Only a candidate that
-    passes gets Fraction frames, and the first in deterministic order is
-    returned.  For a valid theory such a candidate is a model, so a failed
-    `verify_ncom` is a fault and raises `InternalCheckError`.  Effect side:
-    the dual bases give the identity, unit = sum_i s_i h_i normalisation
-    and the frame sum, the h_i (rays of the largest effect cone the states
-    allow) nonnegative weights, the screen responses >= 0, and the stored
-    complements unit - e, in the effect cone, responses <= 1.  The state
-    side swaps the roles: maximal state points are normalised and give
-    responses in [0, 1], and the screen gives the weights.
+    No candidate is inverted.  Lemma: S passes iff for every j a normal n_j
+    of S minus b_j (a nonzero vector orthogonal to it) has <x, n_j> >= 0 on
+    G and <n_j, b_j> > 0.  Proof: c_j is orthogonal to S minus b_j with
+    <c_j, b_j> = 1; G spans, so at most one orientation of a normal is
+    nonnegative on it (`_orient`); and a singular S has some b_j in the
+    span of S minus b_j, so <n_j, b_j> = 0 for every normal n_j.
+    `_first_screened` walks S as (head of d - 2 indices, x, last).  One
+    null space per head gives its complement (w_1, w_2), and
+    <w_2, y> w_1 - <w_1, y> w_2 is the normal through the head and y.  A
+    dependent head, or a head and x with no supporting orientation, skips
+    its block of subsets, counted as explored; the head facets of a
+    surviving S cost one null space each.
     """
     require_valid(g)
-    dim = g.dim
     explored = 0
-    unit, _ = _clear(g.unit)
-    effect_gens = [_clear(e)[0] for e in g.effect_vectors]
-    state_gens = [_clear(s)[0] for s in g.state_vectors]
-
-    effect_candidates = _ordered_rays(max_effect_rays(g))
-    cleared = [_clear(h) for h in effect_candidates]
-    for subset in combinations(range(len(effect_candidates)), dim):
-        explored += 1
-        chosen = [effect_candidates[i] for i in subset]
-        try:
-            columns, det = _inverse_columns([cleared[i] for i in subset])
-        except SingularBasisError:
+    for side in ("effect", "state"):
+        on_effects = side == "effect"
+        candidates = _ordered_rays(max_effect_rays(g) if on_effects else max_state_points(g))
+        gens = [_clear(v)[0] for v in (g.effect_vectors if on_effects else g.state_vectors)]
+        hit, count = _first_screened(candidates, gens, g.dim)
+        explored += count
+        if hit is None:
             continue
-        if all(_dot(c, unit) > 0 for c in columns) and _nonnegative(effect_gens, columns):
-            duals = _fraction_columns(columns, det)
+        basis = tuple(candidates[i] for i in hit)
+        duals = dual_basis(basis)
+        if on_effects:
             scaling = [inner(f, g.unit) for f in duals]
-            effect_frame = tuple(vec_scale(s, h) for s, h in zip(scaling, chosen))
-            state_frame = tuple(vec_scale(1 / s, f) for s, f in zip(scaling, duals))
-            model = OntModel(state_frame=state_frame, effect_frame=effect_frame)
-            _require_model(model, g, InternalCheckError, "screened effect-side model failed verification: ")
-            return ExactDimSearch(model=model, explored=explored, caveat="")
-
-    state_candidates = _ordered_rays(max_state_points(g))
-    cleared = [_clear(s) for s in state_candidates]
-    for subset in combinations(range(len(state_candidates)), dim):
-        explored += 1
-        chosen_states = tuple(state_candidates[i] for i in subset)
-        try:
-            columns, det = _inverse_columns([cleared[i] for i in subset])
-        except SingularBasisError:
-            continue
-        if _nonnegative(state_gens, columns):
-            model = OntModel(state_frame=chosen_states, effect_frame=_fraction_columns(columns, det))
-            _require_model(model, g, InternalCheckError, "screened state-side model failed verification: ")
-            return ExactDimSearch(model=model, explored=explored, caveat="")
-
+            model = OntModel(
+                state_frame=tuple(vec_scale(1 / s, f) for s, f in zip(scaling, duals)),
+                effect_frame=tuple(vec_scale(s, h) for s, h in zip(scaling, basis)),
+            )
+        else:
+            model = OntModel(state_frame=basis, effect_frame=duals)
+        _require_model(model, g, InternalCheckError, f"screened {side}-side model failed verification: ")
+        return ExactDimSearch(model=model, explored=explored, caveat="")
     return ExactDimSearch(model=None, explored=explored, caveat=NONE_FOUND_CAVEAT)
+
+
+def _first_screened(
+    candidates: Sequence[Vec], gens: Sequence[Sequence[int]], dim: int
+) -> tuple[tuple[int, ...] | None, int]:
+    """(indices of the first dim-subset of the candidates that passes the
+    facet screen, or None; the subsets explored): see `embed_exact_dim`."""
+    rows = [_clear(v)[0] for v in candidates]
+    n, explored = len(rows), 0
+    if dim == 1:
+        hits = [i for i, b in enumerate(rows) if _supports([], b, gens)]
+        return ((hits[0],), hits[0] + 1) if hits else (None, n)
+    for head in combinations(range(n - 2), dim - 2):
+        start = head[-1] + 1 if head else 0
+        w1, w2, *dependent = null_space([rows[i] for i in head]) if head else ((1, 0), (0, 1))
+        if dependent:
+            explored += comb(n - start, 2)
+            continue
+        facet = {y: _orient([_dot(w2, rows[y]) * a - _dot(w1, rows[y]) * b for a, b in zip(w1, w2)], gens)
+                 for y in range(start, n)}
+        for x in range(start, n - 1):
+            if facet[x] is None:
+                explored += n - 1 - x
+                continue
+            for last in range(x + 1, n):
+                explored += 1
+                if facet[last] and _dot(facet[x], rows[last]) > 0 and _dot(facet[last], rows[x]) > 0 and all(
+                    _supports([rows[i] for i in head if i != k] + [rows[x], rows[last]], rows[k], gens)
+                    for k in head
+                ):
+                    return head + (x, last), explored
+    return None, explored
+
+
+def _supports(rest: Sequence[Sequence[int]], b: Sequence[int], gens: Sequence[Sequence[int]]) -> bool:
+    """Whether a normal n of `rest` (+-1 in dimension 1, where `rest` is
+    empty) that `_orient` keeps has <n, b> > 0."""
+    n = _orient(null_space(rest)[0] if rest else (1,), gens)
+    return n is not None and _dot(n, b) > 0
+
+
+def _orient(normal: Sequence[int], gens: Sequence[Sequence[int]]) -> list[int] | None:
+    """normal or -normal, whichever is nonnegative on the spanning
+    generators, else None; the zero vector is neither."""
+    sign = 0
+    for x in gens:
+        v = _dot(x, normal)
+        if v * sign < 0:
+            return None
+        sign = sign or v
+    return [a if sign > 0 else -a for a in normal] if sign else None
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(mul, a, b))
-
-
-def _nonnegative(gens: Sequence[Sequence[int]], columns: Sequence[Sequence[int]]) -> bool:
-    return all(_dot(x, c) >= 0 for c in columns for x in gens)
 
 
 # ---------------------------------------------------------------------------

@@ -274,8 +274,5 @@ def dual_basis(basis: Sequence[Vec]) -> tuple[Vec, ...]:
 
     Input must be a linearly independent spanning set (square, full rank).
     """
-    return _fraction_columns(*_inverse_columns([_clear(b) for b in basis]))
-
-
-def _fraction_columns(columns: Sequence[Sequence[int]], det: int) -> tuple[Vec, ...]:
+    columns, det = _inverse_columns([_clear(b) for b in basis])
     return tuple(tuple(Fraction(x, det) for x in col) for col in columns)

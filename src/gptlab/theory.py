@@ -532,8 +532,9 @@ def closed_theory(
     atoms `f1, f2, ...` of its dual order interval (fix-states).  It asserts
     the no-restriction property (callers check it) and keeps those of g's
     measurements whose outcomes are all still present with the same label
-    and vector.  Its scope starts with `cone` and, if `cone` is pointed,
-    its dual (see `state_cone`)."""
+    and vector.  Its scope starts with `cone`, if `cone` is pointed its
+    dual (see `state_cone`), and in fix-effects mode the state points,
+    which are `max_state_points` of a theory whose effect cone is `cone`."""
     if mode == FIX_EFFECTS:
         points = close_states(cone, g.unit)
         effects, states = kept, [(f"d{i + 1}", p) for i, p in enumerate(points)]
@@ -562,6 +563,8 @@ def closed_theory(
     scope[fixed] = cone
     if is_pointed(cone):
         scope[other] = dual_cone(cone)
+    if mode == FIX_EFFECTS:
+        scope["max_state_points"] = points
     return closed
 
 

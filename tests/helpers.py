@@ -4,6 +4,7 @@ decisions are checked against, the lifted convex-hull membership reference,
 the membership-LP no-restriction audit the stored-generator audit replaced,
 the Fraction double description and eliminations and the Fraction
 same-dimension search the integer kernels and screen are checked against,
+the per-subset inversion screen the facet screen replaced,
 the greedy support minimisation the basic LP solution made redundant, the
 model check with the statistics sweep the reconstruction identity made
 redundant, the per-generator affine search behind non-unique
@@ -667,8 +668,51 @@ def random_classical_theory(rng: Random, dim: int) -> Gpt:
 
 
 # ---------------------------------------------------------------------------
-# the same-dimension search over Fractions, which the integer screen of
-# `contextuality.embed_exact_dim` replaced, kept to compare against
+# the per-subset integer inversion screen, which the facet screen of
+# `contextuality.embed_exact_dim` replaced, and the same-dimension search
+# over Fractions, which that integer screen had replaced, kept to compare
+# against
+
+
+def reference_inverse_screen(
+    chosen: Sequence[Vec], gens: Sequence[Sequence[int]], unit: Sequence[int] | None
+) -> bool:
+    """The integer screen `embed_exact_dim` ran on each candidate before the
+    facet screen replaced it, kept to compare against: one inversion of the
+    cleared subset (`linalg._inverse_columns`, columns c_j over one positive
+    denominator), then <x, c_j> >= 0 for every cleared generator x and, given
+    a cleared unit, <unit, c_j> > 0; a singular subset fails."""
+    try:
+        columns, _ = linalg._inverse_columns([linalg._clear(b) for b in chosen])
+    except linalg.SingularBasisError:
+        return False
+    return (unit is None or all(inner(unit, c) > 0 for c in columns)) and all(
+        inner(x, c) >= 0 for c in columns for x in gens
+    )
+
+
+def reference_first_screened(candidates: Sequence[Vec], gens, unit, dim: int):
+    """The walk `contextuality._first_screened` replaced: every dim-subset of
+    the candidates in `combinations` order, each inverted and screened by
+    `reference_inverse_screen`; (first passing indices or None, explored)."""
+    explored = 0
+    for subset in combinations(range(len(candidates)), dim):
+        explored += 1
+        if reference_inverse_screen([candidates[i] for i in subset], gens, unit):
+            return subset, explored
+    return None, explored
+
+
+def screen_sides(g: Gpt):
+    """Both sides of the same-dimension search on g, as (candidates, cleared
+    generators, cleared unit or None): the effect side's maximal effect rays
+    against the stored effects and the unit, then the state side's maximal
+    state points against the stored states."""
+    unit = linalg._clear(g.unit)[0]
+    return (
+        (_ordered_rays(max_effect_rays(g)), [linalg._clear(e)[0] for e in g.effect_vectors], unit),
+        (_ordered_rays(max_state_points(g)), [linalg._clear(s)[0] for s in g.state_vectors], None),
+    )
 
 
 def reference_embed_exact_dim(g: Gpt) -> ExactDimSearch:

@@ -20,6 +20,8 @@ from gptlab.linalg import vec
 from gptlab.report import render_human, render_structured
 from gptlab.theory import FIX_EFFECTS, FIX_STATES, BonusElement, complete
 
+from helpers import reference_embed_exact_dim
+
 
 # ---------------------------------------------------------------------------
 # degenerate cones
@@ -88,8 +90,10 @@ def test_cube_completion_admits_no_finite_model(cube):
     assert lp_result.verify_farkas()
     exact = embed_exact_dim(cube)
     assert not exact.found
-    # six effect-side rays and eight state points, all 4-subsets examined
+    # six effect-side rays and eight state points, all 4-subsets examined,
+    # most of them in skipped blocks
     assert exact.explored == 15 + 70
+    assert exact == reference_embed_exact_dim(cube)
 
 
 @pytest.mark.parametrize("name", ["rebit_completion", "cube"])

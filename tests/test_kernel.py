@@ -5,9 +5,9 @@ Each answer must equal the one plain Gauss-Jordan and the Fraction simplex
 give, pivot for pivot, and every division the kernel makes must be exact
 (`checked_pivot`).  The integer double description
 must return exactly what the Fraction one does, in ints.  The
-same-dimension search, which screens its candidates on the kernel's
-integer inverses, must explore and return exactly what the Fraction search
-does.
+same-dimension search must explore and return exactly what the Fraction
+search does, and its facet screen must pass exactly the candidate subsets
+the integer inversion screen it replaced passes, singular ones included.
 """
 
 from fractions import Fraction
@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 
 from gptlab import catalog, lp
 from gptlab.cones import double_description
-from gptlab.contextuality import _ordered_rays, embed_exact_dim
+from gptlab.contextuality import _first_screened, _ordered_rays, _supports, embed_exact_dim
 from gptlab.linalg import SingularBasisError, _clear, _inverse_columns, dual_basis, null_space, rank, vec
-from gptlab.theory import max_effect_rays, max_state_points
+from gptlab.theory import build_gpt, max_effect_rays, max_state_points
 
 from helpers import (
     checked_pivot,
@@ -32,8 +32,11 @@ from helpers import (
     reference_double_description,
     reference_dual_basis,
     reference_embed_exact_dim,
+    reference_first_screened,
+    reference_inverse_screen,
     reference_null_space,
     reference_solve_feasibility,
+    screen_sides,
     support_is_independent,
 )
 
@@ -197,8 +200,15 @@ def test_exact_dim_search_matches_reference_on_bundled_theories(name):
     assert embed_exact_dim(g) == reference_embed_exact_dim(g)
 
 
+def test_exact_dim_search_matches_reference_in_dimension_one():
+    # the facet of a single vector is the origin, whose normals are +-1
+    g = build_gpt(1, [2], [("e", ["1/2"]), ("u", [2])], [("s", ["1/2"])], False)
+    search = embed_exact_dim(g)
+    assert search == reference_embed_exact_dim(g) and search.found and search.explored == 1
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from([random_subgpt, random_pair_subgpt]), st.integers(2, 4), st.integers(0, 2**32 - 1))
+@given(st.sampled_from([random_subgpt, random_pair_subgpt]), st.integers(2, 5), st.integers(0, 2**32 - 1))
 @example(random_subgpt, 4, 1)
 def test_exact_dim_search_matches_reference_on_random_theories(make, dim, seed):
     g = make(Random(seed), dim)
@@ -207,8 +217,10 @@ def test_exact_dim_search_matches_reference_on_random_theories(make, dim, seed):
 
 
 def test_exact_dim_search_draws_include_negative_determinants():
-    """The explicit example above explores candidate bases with det < 0,
-    whose integer inverses the kernel has to bring to a positive denominator."""
+    """The explicit example above explores candidate bases with det < 0.  The
+    facet screen never sees a determinant: it orients each facet normal
+    against the generators, and this example checks that orientation on
+    bases of either sign."""
     g = random_subgpt(Random(1), 4)
     search = embed_exact_dim(g)
     candidates = chain(
@@ -217,3 +229,59 @@ def test_exact_dim_search_draws_include_negative_determinants():
     )
     dets = [reference_det(b) for b in islice(candidates, search.explored)]
     assert search.explored > 1 and min(dets) < 0 < max(dets)
+
+
+def _facet_screen(chosen, gens):
+    return all(_supports(chosen[:j] + chosen[j + 1 :], chosen[j], gens) for j in range(len(chosen)))
+
+
+def _screen_draws(g, rng):
+    """(cleared generators, cleared unit or None, subset) on both sides of g:
+    the first candidate subsets in search order, each again in shuffled
+    order, and draws with repetition from the candidates and the
+    generators, so singular subsets and negative determinants occur."""
+    for candidates, gens, unit in screen_sides(g):
+        rows = [_clear(v)[0] for v in candidates]
+        ordered = [list(s) for s in islice(combinations(rows, g.dim), 30)]
+        drawn = [[rng.choice(rows + gens) for _ in range(g.dim)] for _ in range(20)]
+        for chosen in ordered + [rng.sample(s, len(s)) for s in ordered] + drawn:
+            yield gens, unit, chosen
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([random_subgpt, random_pair_subgpt]), st.integers(2, 5), st.integers(0, 2**32 - 1))
+def test_facet_screen_matches_the_inverse_screen_subset_by_subset(make, dim, seed):
+    # the first-hit comparison stops at the first hit; this one also checks
+    # every rejection, singular subsets included.  On the effect side the
+    # reference also asks <unit, c_j> > 0, which the facet screen leaves to
+    # the generators (see `embed_exact_dim`)
+    g = make(Random(seed), dim)
+    for gens, unit, chosen in _screen_draws(g, Random(seed)):
+        assert _facet_screen(chosen, gens) == reference_inverse_screen(chosen, gens, unit)
+
+
+def test_screen_draws_reach_every_kind_of_subset():
+    """On both sides the draws above include singular subsets and, with
+    either determinant sign, subsets that pass and subsets that fail."""
+    kinds = set()
+    for seed in range(6):
+        for make in (random_subgpt, random_pair_subgpt):
+            g = make(Random(seed), 3)
+            for gens, unit, chosen in _screen_draws(g, Random(seed)):
+                det = reference_det(chosen)
+                kinds.add((unit is None, (det > 0) - (det < 0), reference_inverse_screen(chosen, gens, unit)))
+    expected = {(side, sign, passes) for side in (False, True) for sign in (-1, 1) for passes in (False, True)}
+    assert kinds == expected | {(False, 0, False), (True, 0, False)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([random_subgpt, random_pair_subgpt]), st.integers(2, 5), st.integers(0, 2**32 - 1))
+def test_facet_walk_matches_the_inverse_walk_on_dependent_lists(make, dim, seed):
+    # repeated and dependent candidates make dependent heads and zero facet
+    # normals, whose blocks the walk skips and must still count
+    g = make(Random(seed), dim)
+    rng = Random(seed)
+    for candidates, gens, unit in screen_sides(g):
+        pool = list(candidates) + gens
+        listed = [rng.choice(pool) for _ in range(dim + 4)]
+        assert _first_screened(listed, gens, dim) == reference_first_screened(listed, gens, unit, dim)

@@ -147,6 +147,26 @@ def test_classify_resource_sweep_runs_one_double_description_per_operation(monke
         assert extend_theory(host, BonusElement(kind, "b", vec(*text.split(",")))).expelled
 
 
+@pytest.mark.parametrize("name", ["bonus_effect", *catalog.bundled_names()])
+def test_a_fix_effects_closure_closes_its_states_once(name, monkeypatch):
+    # `closed_theory` enters the points it computed from the closure's
+    # effect cone as `max_state_points`, so neither the closure's own checks
+    # nor a later call close that cone again
+    clear_theory_caches()
+    host = catalog.get("classical_trit" if name == "bonus_effect" else name)
+    theory.max_state_points(host)
+    calls = []
+    close_states = theory.close_states
+    monkeypatch.setattr(theory, "close_states", lambda *args: calls.append(args) or close_states(*args))
+    if name == "bonus_effect":
+        closed = extend_theory(host, BonusElement("effect", "b", vec("-1/2", "1/2", 1))).theory
+    else:
+        closed = theory.complete(host, theory.FIX_EFFECTS)
+    points = theory.max_state_points(closed)
+    assert len(calls) == 1
+    assert points == close_states(cones.cone_from_rays(closed.effect_vectors, closed.dim), closed.unit)
+
+
 @pytest.mark.parametrize("name", catalog.bundled_names())
 def test_theories_hash_by_value_once(name):
     text = serialize(catalog.get(name))
